@@ -725,6 +725,9 @@ class BatchEngine {
         stats.transfer = TransferNeed::kNone;
         stats.fronts = p.rows();
         stats.cells = p.rows() * p.cols();
+        // The lane's result grid plus its two rolling lane-major rows.
+        stats.peak_table_bytes =
+            (p.rows() + 2) * p.cols() * sizeof(typename P::Value);
         detail::finish_stats(stats, plat, per_solve_wall);
         j.recorded = plat.timeline();
         j.stats = stats;

@@ -196,10 +196,14 @@ SolveResult<P> solve_canonical(const P& p, Pattern pattern,
       LDDP_CHECK_MSG(false, "unreachable: auto mode was resolved above");
   }
   // Table-storage high-water of a full-table solve: the host grid, plus
-  // the wavefront-contiguous device copy for the modes that keep one.
+  // the front-major table it is unpacked from — the device table of the
+  // GPU modes, the host staging table of diagonal-order CPU wavefronts.
+  const bool staged =
+      mode == Mode::kGpu || mode == Mode::kHeterogeneous ||
+      (mode == Mode::kCpuParallel && (pattern == Pattern::kAntiDiagonal ||
+                                      pattern == Pattern::kKnightMove));
   result.stats.peak_table_bytes =
-      p.rows() * p.cols() * sizeof(typename P::Value) *
-      ((mode == Mode::kGpu || mode == Mode::kHeterogeneous) ? 2 : 1);
+      p.rows() * p.cols() * sizeof(typename P::Value) * (staged ? 2 : 1);
   if (!cfg.trace_path.empty())
     platform.timeline().export_chrome_trace(cfg.trace_path);
   // Detach the per-attempt control before copying the timeline out: the

@@ -224,15 +224,28 @@ inline V* batch_scratch(std::size_t slot, std::size_t len) {
   return bufs[slot].ensure(len);
 }
 
+/// A neighbour (or output) stream along a span: lane k lives at
+/// base[k * stride].
+template <typename V>
+struct StridedSpan {
+  V* base = nullptr;
+  std::ptrdiff_t stride = 0;
+};
+
 /// Executes cells [lo, hi) (positions within front f) over storage
-/// addressed by `addr(i, j) -> V*`. When `batch` is set, the problem has
-/// the hook, and the layout admits batching, interior runs go through
-/// compute_front with packed spans; everything else — edges, short runs,
-/// shapes the hook rejects — runs the scalar per-cell reference loop.
-/// `addr` must be affine in (i, j) over each run and its neighbours
-/// (true for the row-major host table and for every wavefront-major
-/// device layout); strides are derived by probing and the run end is
-/// checked in debug builds.
+/// addressed by `addr(i, j) -> V*`. Each affine run of the front splits
+/// into edge cells, which run the scalar per-cell reference loop, and an
+/// interior whose neighbours all exist. When `batch` is set, the problem
+/// has the hook and the layout admits batching, the interior goes through
+/// compute_front with packed spans: direct pointers where the storage is
+/// stride-one (every front-major table), a gather into per-thread scratch
+/// otherwise. Every other interior — no hook, a shape the hook rejects,
+/// dependencies inside the front — runs `compute` per cell while walking
+/// the neighbour pointers by their strides, in position order, so a
+/// dependency inside the front reads the value this loop just wrote.
+/// `addr` must be affine in (i, j) over each run and its neighbours (true
+/// for the row-major host table and for every front-major table); strides
+/// are derived by probing and the run end is checked in debug builds.
 template <LddpProblem P, typename Layout, typename AddrFn>
 void run_front_range(const P& p, ContributingSet deps,
                      typename P::Value bound, const Layout& layout,
@@ -248,103 +261,99 @@ void run_front_range(const P& p, ContributingSet deps,
           compute_cell(p, deps, bound, cell.i, cell.j, cols, read);
     }
   };
-  if constexpr (BatchFrontProblem<P>) {
-    if (batch && layout_batchable(layout, deps)) {
-      FrontRun runs[2];
-      const std::size_t nr = front_runs(layout, f, runs);
-      std::size_t done = lo;
-      for (std::size_t r = 0; r < nr && done < hi; ++r) {
-        const FrontRun& run = runs[r];
-        const std::size_t r_end = run.pos + run.len;
-        if (r_end <= done) continue;
-        std::size_t ia, ib;
-        interior_lanes(run, deps, cols, ia, ib);
-        // Clip the interior lanes to the requested [lo, hi) positions.
-        const std::size_t ka =
-            std::max(run.pos + ia, done) - run.pos;
-        const std::size_t kb =
-            (std::min(run.pos + ib, hi) > run.pos + ka)
-                ? std::min(run.pos + ib, hi) - run.pos
-                : ka;
-        if (kb - ka < kMinBatchRun) {
-          const std::size_t stop = std::min(r_end, hi);
-          scalar(done, stop);
-          done = stop;
-          continue;
-        }
-        FrontSpan<V> s;
-        s.i0 = static_cast<std::size_t>(
-            static_cast<std::int64_t>(run.i0) +
-            static_cast<std::int64_t>(ka) * run.di);
-        s.j0 = static_cast<std::size_t>(
-            static_cast<std::int64_t>(run.j0) +
-            static_cast<std::int64_t>(ka) * run.dj);
-        s.di = run.di;
-        s.dj = run.dj;
-        s.len = kb - ka;
-        V* const out0 = addr(s.i0, s.j0);
-        const std::ptrdiff_t sout =
-            addr(static_cast<std::size_t>(
-                     static_cast<std::int64_t>(s.i0) + s.di),
-                 static_cast<std::size_t>(
-                     static_cast<std::int64_t>(s.j0) + s.dj)) -
-            out0;
-        LDDP_DCHECK(addr(static_cast<std::size_t>(
-                             static_cast<std::int64_t>(s.i0) +
-                             static_cast<std::int64_t>(s.len - 1) * s.di),
-                         static_cast<std::size_t>(
-                             static_cast<std::int64_t>(s.j0) +
-                             static_cast<std::int64_t>(s.len - 1) * s.dj)) ==
-                    out0 + static_cast<std::ptrdiff_t>(s.len - 1) * sout);
-        // Pack each needed neighbour: direct pointer when unit-stride,
-        // strided gather into per-thread scratch otherwise.
-        auto pack = [&](std::ptrdiff_t oi, std::ptrdiff_t oj,
-                        std::size_t slot) -> const V* {
-          const V* const base =
-              addr(static_cast<std::size_t>(
-                       static_cast<std::int64_t>(s.i0) + oi),
-                   static_cast<std::size_t>(
-                       static_cast<std::int64_t>(s.j0) + oj));
-          if (s.len < 2) return base;
-          const std::ptrdiff_t stride =
-              addr(static_cast<std::size_t>(
-                       static_cast<std::int64_t>(s.i0) + s.di + oi),
-                   static_cast<std::size_t>(
-                       static_cast<std::int64_t>(s.j0) + s.dj + oj)) -
-              base;
-          if (stride == 1) return base;
-          V* const buf = batch_scratch<V>(slot, s.len);
-          for (std::size_t k = 0; k < s.len; ++k)
-            buf[k] = base[static_cast<std::ptrdiff_t>(k) * stride];
+  bool hook = false;
+  if constexpr (BatchFrontProblem<P>)
+    hook = batch && layout_batchable(layout, deps);
+  FrontRun runs[2];
+  const std::size_t nr = front_runs(layout, f, runs);
+  std::size_t done = lo;
+  for (std::size_t r = 0; r < nr && done < hi; ++r) {
+    const FrontRun& run = runs[r];
+    const std::size_t r_end = run.pos + run.len;
+    if (r_end <= done) continue;
+    const std::size_t stop = std::min(r_end, hi);
+    std::size_t ia, ib;
+    interior_lanes(run, deps, cols, ia, ib);
+    // Clip the interior lanes to the requested [lo, hi) positions.
+    const std::size_t ka = std::max(run.pos + ia, done) - run.pos;
+    const std::size_t kb = std::min(run.pos + ib, stop) > run.pos + ka
+                               ? std::min(run.pos + ib, stop) - run.pos
+                               : ka;
+    if (kb - ka < kMinBatchRun) {
+      scalar(done, stop);
+      done = stop;
+      continue;
+    }
+    scalar(done, run.pos + ka);  // leading edge cells
+    const auto i0 = static_cast<std::ptrdiff_t>(run.i0) +
+                    static_cast<std::ptrdiff_t>(ka) * run.di;
+    const auto j0 = static_cast<std::ptrdiff_t>(run.j0) +
+                    static_cast<std::ptrdiff_t>(ka) * run.dj;
+    const std::size_t len = kb - ka;
+    // Lane k's cell shifted by (oi, oj), as a pointer into the storage.
+    auto lane = [&](std::ptrdiff_t k, std::ptrdiff_t oi, std::ptrdiff_t oj) {
+      return addr(static_cast<std::size_t>(i0 + k * run.di + oi),
+                  static_cast<std::size_t>(j0 + k * run.dj + oj));
+    };
+    auto stream = [&](std::ptrdiff_t oi, std::ptrdiff_t oj) {
+      V* const base = lane(0, oi, oj);
+      return StridedSpan<V>{base, lane(1, oi, oj) - base};
+    };
+    const StridedSpan<V> out = stream(0, 0);
+    LDDP_DCHECK(lane(static_cast<std::ptrdiff_t>(len - 1), 0, 0) ==
+                out.base + static_cast<std::ptrdiff_t>(len - 1) * out.stride);
+    StridedSpan<V> w, nw, n, ne;
+    if (deps.has_w()) w = stream(0, -1);
+    if (deps.has_nw()) nw = stream(-1, -1);
+    if (deps.has_n()) n = stream(-1, 0);
+    if (deps.has_ne()) ne = stream(-1, 1);
+    bool computed = false;
+    if constexpr (BatchFrontProblem<P>) {
+      if (hook) {
+        // Direct pointer when unit-stride, gather into scratch otherwise.
+        auto pack = [len](const StridedSpan<V>& src,
+                          std::size_t slot) -> const V* {
+          if (src.base == nullptr || src.stride == 1) return src.base;
+          V* const buf = batch_scratch<V>(slot, len);
+          for (std::size_t k = 0; k < len; ++k)
+            buf[k] = src.base[static_cast<std::ptrdiff_t>(k) * src.stride];
           return buf;
         };
-        if (deps.has_w()) s.w = pack(0, -1, 0);
-        if (deps.has_nw()) s.nw = pack(-1, -1, 1);
-        if (deps.has_n()) s.n = pack(-1, 0, 2);
-        if (deps.has_ne()) s.ne = pack(-1, 1, 3);
-        V* scatter_buf = nullptr;
-        if (sout == 1) {
-          s.out = out0;
-        } else {
-          scatter_buf = batch_scratch<V>(4, s.len);
-          s.out = scatter_buf;
-        }
-        if (p.compute_front(s)) {
-          if (scatter_buf != nullptr)
-            for (std::size_t k = 0; k < s.len; ++k)
-              out0[static_cast<std::ptrdiff_t>(k) * sout] = scatter_buf[k];
-          scalar(done, run.pos + ka);  // leading edge cells
-          done = run.pos + kb;
-        }
-        const std::size_t stop = std::min(r_end, hi);
-        scalar(done, stop);  // trailing edge (or the whole run on reject)
-        done = stop;
+        FrontSpan<V> s;
+        s.i0 = static_cast<std::size_t>(i0);
+        s.j0 = static_cast<std::size_t>(j0);
+        s.di = run.di;
+        s.dj = run.dj;
+        s.len = len;
+        s.w = pack(w, 0);
+        s.nw = pack(nw, 1);
+        s.n = pack(n, 2);
+        s.ne = pack(ne, 3);
+        s.out = out.stride == 1 ? out.base : batch_scratch<V>(4, len);
+        computed = p.compute_front(s);
+        if (computed && s.out != out.base)
+          for (std::size_t k = 0; k < len; ++k)
+            out.base[static_cast<std::ptrdiff_t>(k) * out.stride] = s.out[k];
       }
-      scalar(done, hi);
-      return;
     }
+    if (!computed) {
+      Neighbors<V> nb{bound, bound, bound, bound};
+      for (std::size_t k = 0; k < len; ++k) {
+        const auto kk = static_cast<std::ptrdiff_t>(k);
+        if (w.base != nullptr) nb.w = w.base[kk * w.stride];
+        if (nw.base != nullptr) nb.nw = nw.base[kk * nw.stride];
+        if (n.base != nullptr) nb.n = n.base[kk * n.stride];
+        if (ne.base != nullptr) nb.ne = ne.base[kk * ne.stride];
+        out.base[kk * out.stride] =
+            p.compute(static_cast<std::size_t>(i0 + kk * run.di),
+                      static_cast<std::size_t>(j0 + kk * run.dj), nb);
+      }
+    }
+    done = run.pos + kb;
+    scalar(done, stop);  // trailing edge cells
+    done = stop;
   }
-  scalar(lo, hi);
+  scalar(done, hi);
 }
 
 // --- Row sweeps (serial scan, tile interiors, horizontal strips) --------

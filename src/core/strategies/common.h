@@ -14,6 +14,7 @@
 #include "core/run_config.h"
 #include "cpu/calibrate.h"
 #include "sim/platform.h"
+#include "tables/front_major.h"
 #include "tables/grid.h"
 #include "tables/layout.h"
 #include "util/stopwatch.h"
@@ -53,73 +54,25 @@ struct GridReader {
   V operator()(std::size_t i, std::size_t j) const { return grid->at(i, j); }
 };
 
-/// Reader over the device front-major table.
-template <typename V, typename Layout>
+/// Reader over a front-major table: `index` is a layout or a
+/// FrontMajorIndex — anything with flat(i, j).
+template <typename V, typename Index>
 struct DeviceReader {
   const V* data;
-  const Layout* layout;
+  const Index* index;
   V operator()(std::size_t i, std::size_t j) const {
-    return data[layout->flat(i, j)];
+    return data[index->flat(i, j)];
   }
 };
 
-/// Assembles (part of) the row-major result grid from wavefront-major
-/// device storage in cache-sized blocks. The naive row-major walk touches
-/// one distant cache line of the device array per cell on diagonal-order
-/// layouts (~16x memory amplification on large tables) and dominates the
-/// wall-clock of large solves once the cell kernels themselves are
-/// vectorized; blocking keeps both sides' working set cache-resident.
-/// Pure element-wise copy — visit order cannot affect results.
+/// Assembles columns [j_begin, j_end) of the row-major result grid from
+/// storage in the layout's own dense flat() order (see
+/// unpack_front_major for the cache blocking).
 template <typename V, typename Layout>
 void unpack_table(const V* src, const Layout& layout, Grid<V>& table,
                   std::size_t j_begin, std::size_t j_end) {
-  const std::size_t n = table.rows();
-  if constexpr (std::is_same_v<Layout, RowMajorLayout>) {
-    const std::size_t m = table.cols();
-    for (std::size_t i = 0; i < n; ++i)
-      std::copy(src + i * m + j_begin, src + i * m + j_end,
-                &table.at(i, j_begin));
-    return;
-  }
-  if constexpr (std::is_same_v<Layout, AntiDiagonalLayout>) {
-    // flat(i, j) = front_offset(i+j) - i_min(i+j) + i. Hoisting the
-    // per-diagonal part turns the inner loop into one lookup plus an add;
-    // the generic blocked path recomputes it per cell, which at large
-    // sizes costs more than the kernels themselves.
-    const std::size_t nf = layout.num_fronts();
-    std::vector<std::ptrdiff_t> base(nf);
-    for (std::size_t d = 0; d < nf; ++d)
-      base[d] = static_cast<std::ptrdiff_t>(layout.front_offset(d)) -
-                static_cast<std::ptrdiff_t>(layout.i_min(d));
-    // Blocked walk: a 64-wide j-block touches 64+64 diagonals whose active
-    // cache lines stay resident across the block's rows (adjacent i reads
-    // adjacent positions of the same diagonal).
-    constexpr std::size_t kAdBlock = 64;
-    for (std::size_t i0 = 0; i0 < n; i0 += kAdBlock) {
-      const std::size_t i1 = std::min(n, i0 + kAdBlock);
-      for (std::size_t j0 = j_begin; j0 < j_end; j0 += kAdBlock) {
-        const std::size_t j1 = std::min(j_end, j0 + kAdBlock);
-        for (std::size_t i = i0; i < i1; ++i) {
-          V* dst = &table.at(i, j0);
-          const std::ptrdiff_t* b = base.data() + i + j0;
-          const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(i);
-          for (std::size_t j = j0; j < j1; ++j)
-            *dst++ = src[*b++ + off];
-        }
-      }
-    }
-    return;
-  }
-  constexpr std::size_t kBlock = 64;
-  for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
-    const std::size_t i1 = std::min(n, i0 + kBlock);
-    for (std::size_t j0 = j_begin; j0 < j_end; j0 += kBlock) {
-      const std::size_t j1 = std::min(j_end, j0 + kBlock);
-      for (std::size_t i = i0; i < i1; ++i)
-        for (std::size_t j = j0; j < j1; ++j)
-          table.at(i, j) = src[layout.flat(i, j)];
-    }
-  }
+  unpack_front_major(src, FrontMajorIndex<Layout>(layout), table, j_begin,
+                     j_end);
 }
 
 /// Work profile for the CPU pricing of this solve: when the run takes the

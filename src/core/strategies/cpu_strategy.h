@@ -8,8 +8,12 @@
 //   problem's pattern, block-per-thread within each front (Section IV-A).
 #pragma once
 
+#include <type_traits>
+
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
+#include "tables/front_major.h"
+#include "util/aligned.h"
 
 namespace lddp {
 
@@ -53,7 +57,11 @@ Grid<typename P::Value> solve_cpu_serial(const P& p, sim::Platform* platform,
 
 /// Multicore wavefront execution over the pattern's layout — the paper's
 /// OpenMP-style baseline: one fork/join parallel region per front.
-/// `mem_amplification` prices cache-hostile walk orders (diagonal fronts).
+/// `mem_amplification` prices cache-hostile walk orders (diagonal fronts)
+/// in the model. Row fronts are rows of the result grid and fill it in
+/// place; any other front order fills a front-major staging table
+/// (tables/front_major.h), so every neighbour span is stride-one, and
+/// unpacks it into the grid once at the end.
 template <LddpProblem P, typename Layout>
 Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
                                            sim::Platform& platform,
@@ -67,10 +75,18 @@ Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
   const V bound = p.boundary();
   const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
   const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
-  Grid<V> table(n, m);
-  detail::GridReader<V> read{&table};
-  auto addr = [&table](std::size_t i, std::size_t j) {
-    return &table.at(i, j);
+  constexpr bool kInPlace = std::is_same_v<Layout, RowMajorLayout>;
+  const FrontMajorIndex<Layout> idx =
+      kInPlace ? FrontMajorIndex<Layout>(layout)
+               : FrontMajorIndex<Layout>(layout, sizeof(V));
+  // Every cell is computed before any read of it, so neither the grid nor
+  // the staging table needs a fill.
+  Grid<V> table;
+  AlignedBuf<V> staging;
+  if constexpr (kInPlace) table = Grid<V>::uninitialized(n, m);
+  V* const data = kInPlace ? table.data() : staging.ensure(idx.size());
+  auto addr = [data, &idx](std::size_t i, std::size_t j) {
+    return data + idx.flat(i, j);
   };
   // Workers stay resident in the strip barrier across fronts (real
   // execution only); the simulated pricing below remains the paper's
@@ -83,25 +99,15 @@ Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
     // run on the issuing thread.
     opts.parallel = cpu::parallel_beats_serial(
         platform.spec().cpu, work, layout.front_size(f), mem_amplification);
-    if (use_batch) {
-      platform.cpu_front(
-          layout.front_size(f), work,
-          [&](std::size_t lo, std::size_t hi) {
-            detail::run_front_range(p, deps, bound, layout, f, lo, hi, addr,
-                                    /*batch=*/true);
-          },
-          opts);
-    } else {
-      platform.cpu_front(
-          layout.front_size(f), work,
-          [&](std::size_t c) {
-            const CellIndex cell = layout.cell(f, c);
-            table.at(cell.i, cell.j) =
-                detail::compute_cell(p, deps, bound, cell.i, cell.j, m, read);
-          },
-          opts);
-    }
+    platform.cpu_front(
+        layout.front_size(f), work,
+        [&](std::size_t lo, std::size_t hi) {
+          detail::run_front_range(p, deps, bound, layout, f, lo, hi, addr,
+                                  batch);
+        },
+        opts);
   }
+  if constexpr (!kInPlace) table = unpack_front_major(data, idx);
   if (stats) {
     stats->mode_used = Mode::kCpuParallel;
     stats->pattern = classify(deps);

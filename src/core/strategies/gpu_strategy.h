@@ -12,6 +12,7 @@
 #include "core/strategies/common.h"
 #include "sim/launch_graph.h"
 #include "sim/memory.h"
+#include "tables/front_major.h"
 
 namespace lddp {
 
@@ -28,10 +29,15 @@ Grid<typename P::Value> solve_gpu(const P& p, const Layout& layout,
   const auto stream = gpu.default_stream();
 
   // Every cell of every front is computed before any neighbour read, so
-  // the device table can skip its zero-fill.
+  // the device table can skip its zero-fill. Fronts are cache-line padded
+  // (tables/front_major.h) for the final host-side unpack.
+  const FrontMajorIndex<Layout> idx(layout, sizeof(V));
   sim::DeviceBuffer<V> dtable =
-      gpu.template alloc<V>(layout.size(), /*zeroed=*/false);
-  detail::DeviceReader<V, Layout> read{dtable.device_ptr(), &layout};
+      gpu.template alloc<V>(idx.size(), /*zeroed=*/false);
+  V* const out = dtable.device_ptr();
+  auto addr = [out, &idx](std::size_t i, std::size_t j) {
+    return out + idx.flat(i, j);
+  };
   const sim::KernelInfo info = detail::kernel_info_for(p, "gpu.front");
 
   // The whole compute phase — input upload plus every per-front kernel —
@@ -42,38 +48,20 @@ Grid<typename P::Value> solve_gpu(const P& p, const Layout& layout,
   // Inputs (sequences / cost grid / image) go up once, pageable.
   graph.record_h2d(stream, input_bytes_of(p), sim::MemoryKind::kPageable);
 
-  const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
   for (std::size_t f = 0; f < layout.num_fronts(); ++f) {
-    const std::size_t base = layout.front_offset(f);
-    V* out = dtable.device_ptr();
-    if (use_batch) {
-      // Ranged body: the batch runner packs each chunk's interior into
-      // dense spans for compute_front. Same cells, same kernel pricing.
-      graph.launch(stream, info, layout.front_size(f),
-                   [&, out](std::size_t lo, std::size_t hi) {
-                     detail::run_front_range(
-                         p, deps, bound, layout, f, lo, hi,
-                         [out, &layout](std::size_t i, std::size_t j) {
-                           return out + layout.flat(i, j);
-                         },
-                         /*batch=*/true);
-                   });
-    } else {
-      graph.launch(stream, info, layout.front_size(f),
-                   [&, base, out](std::size_t c) {
-        const CellIndex cell = layout.cell(f, c);
-        out[base + c] =
-            detail::compute_cell(p, deps, bound, cell.i, cell.j, m, read);
-      });
-    }
+    // Ranged body: the front runner computes each chunk's interior over
+    // stride-one neighbour spans. The kernel pricing sees only the count.
+    graph.launch(stream, info, layout.front_size(f),
+                 [&](std::size_t lo, std::size_t hi) {
+                   detail::run_front_range(p, deps, bound, layout, f, lo, hi,
+                                           addr, batch);
+                 });
   }
   graph.replay();
 
   // Assemble the full host-side table for the caller; the priced download
-  // is what a production consumer would fetch (result_bytes_of). The unpack
-  // writes every cell, so the grid can skip its zero-fill.
-  Grid<V> table = Grid<V>::uninitialized(n, m);
-  detail::unpack_table(dtable.device_ptr(), layout, table, 0, m);
+  // is what a production consumer would fetch (result_bytes_of).
+  Grid<V> table = unpack_front_major(dtable.device_ptr(), idx);
   const sim::OpId done = gpu.record_d2h(stream, result_bytes_of(p),
                                         sim::MemoryKind::kPageable);
   platform.cpu_sync(done);

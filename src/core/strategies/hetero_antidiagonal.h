@@ -11,12 +11,20 @@
 //            two anti-diagonals") while the CPU streams ahead unblocked.
 //   Phase 3: the last t_switch fronts run entirely on the CPU again, after
 //            a bulk download of the GPU's part of the two preceding fronts.
+//
+// Both units fill one front-major table (tables/front_major.h) — the CPU
+// owns a prefix of every front, the GPU the suffix — that the host can
+// see, as in the frontier engine's mapped window: every transfer above is
+// priced on the timeline exactly as before, but no cell is copied between
+// host and device twins. The table is unpacked into the row-major result
+// once at the end, so no front ever walks the row-major grid.
 #pragma once
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
 #include "core/strategies/heuristics.h"
 #include "sim/launch_graph.h"
+#include "tables/front_major.h"
 
 namespace lddp {
 
@@ -48,11 +56,14 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
   const std::size_t phase2_begin = ts;
   const std::size_t phase2_end = num_fronts - ts;
 
-  Grid<V> table(n, m);
-  sim::DeviceBuffer<V> dtable = gpu.template alloc<V>(layout.size());
-  detail::GridReader<V> hread{&table};
-  detail::DeviceReader<V, AntiDiagonalLayout> dread{dtable.device_ptr(),
-                                                    &layout};
+  // Every cell is computed before any read of it: no fill needed.
+  const FrontMajorIndex<AntiDiagonalLayout> idx(layout, sizeof(V));
+  sim::DeviceBuffer<V> dtable =
+      gpu.template alloc<V>(idx.size(), /*zeroed=*/false);
+  V* const data = dtable.device_ptr();
+  auto addr = [data, &idx](std::size_t i, std::size_t j) {
+    return data + idx.flat(i, j);
+  };
 
   const auto compute_stream = gpu.default_stream();
   const auto h2d_stream = gpu.create_stream();
@@ -78,9 +89,11 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
     return std::min(s - lo, layout.front_size(d));
   };
 
-  auto haddr = [&table](std::size_t i, std::size_t j) {
-    return &table.at(i, j);
+  // GPU-owned cells of front d (the suffix after the CPU prefix).
+  auto gpu_len = [&](std::size_t d) {
+    return layout.front_size(d) - cpu_len(d);
   };
+
   auto run_cpu = [&](std::size_t d, std::size_t count, sim::OpId dep) {
     sim::Platform::CpuFrontOpts opts;
     opts.streamed = true;  // persistent framework threads, not fork/join
@@ -88,21 +101,11 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
     opts.parallel = cpu::parallel_beats_serial(
         platform.spec().cpu, work, count, opts.mem_amplification, true);
     opts.dep1 = dep;
-    if (use_batch) {
-      return platform.cpu_front(
-          count, work,
-          [&, d](std::size_t lo, std::size_t hi) {
-            detail::run_front_range(p, deps, bound, layout, d, lo, hi, haddr,
-                                    /*batch=*/true);
-          },
-          opts);
-    }
     return platform.cpu_front(
         count, work,
-        [&, d](std::size_t c) {
-          const CellIndex cell = layout.cell(d, c);
-          table.at(cell.i, cell.j) =
-              detail::compute_cell(p, deps, bound, cell.i, cell.j, m, hread);
+        [&, d](std::size_t lo, std::size_t hi) {
+          detail::run_front_range(p, deps, bound, layout, d, lo, hi, addr,
+                                  batch);
         },
         opts);
   };
@@ -123,13 +126,9 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
     std::size_t bytes = 0;
     for (std::size_t back = 1; back <= 2 && back <= phase2_begin; ++back) {
       const std::size_t d = phase2_begin - back;
-      const std::size_t base = layout.front_offset(d);
-      for (std::size_t c = 0; c < layout.front_size(d); ++c) {
-        const CellIndex cell = layout.cell(d, c);
-        if (cell.i < lo_row) continue;
-        dtable.device_ptr()[base + c] = table.at(cell.i, cell.j);
-        bytes += sizeof(V);
-      }
+      const std::size_t lo = std::max(layout.i_min(d), lo_row);
+      if (lo <= layout.i_max(d))
+        bytes += (layout.i_max(d) - lo + 1) * sizeof(V);
     }
     h2d_m1 = h2d_m2 = graph.record_h2d(h2d_stream, bytes,
                                        sim::MemoryKind::kPageable, last_cpu);
@@ -152,41 +151,21 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
     // this front, needed by GPU fronts d+1 (as N) and d+2 (as NW).
     sim::OpId h2d_op = sim::kNoOp;
     if (c > 0 && s > 0 && s - 1 >= layout.i_min(d) &&
-        s - 1 <= layout.i_max(d)) {
-      const std::size_t j = d - (s - 1);
-      dtable.device_ptr()[layout.flat(s - 1, j)] = table.at(s - 1, j);
+        s - 1 <= layout.i_max(d))
       h2d_op = graph.record_h2d(h2d_stream, sizeof(V),
                                 sim::MemoryKind::kPinned, cpu_op);
-    }
 
     if (c < fs) {
       // The kernel additionally waits for the boundary cells of the last
       // two fronts (the W/N/NW reads that cross the strip).
       graph.stream_wait(compute_stream, h2d_m2);
-      const std::size_t base = layout.front_offset(d);
-      V* out = dtable.device_ptr();
-      if (use_batch) {
-        last_gpu = graph.launch(
-            compute_stream, info, fs - c,
-            [&, d, c, out](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(
-                  p, deps, bound, layout, d, c + lo, c + hi,
-                  [out, &layout](std::size_t i, std::size_t j) {
-                    return out + layout.flat(i, j);
-                  },
-                  /*batch=*/true);
-            },
-            h2d_m1);
-      } else {
-        last_gpu = graph.launch(
-            compute_stream, info, fs - c,
-            [&, d, c, base, out](std::size_t k) {
-              const CellIndex cell = layout.cell(d, c + k);
-              out[base + c + k] = detail::compute_cell(p, deps, bound, cell.i,
-                                                       cell.j, m, dread);
-            },
-            h2d_m1);
-      }
+      last_gpu = graph.launch(
+          compute_stream, info, fs - c,
+          [&, d, c](std::size_t lo, std::size_t hi) {
+            detail::run_front_range(p, deps, bound, layout, d, c + lo, c + hi,
+                                    addr, batch);
+          },
+          h2d_m1);
     }
     h2d_m2 = h2d_m1;
     h2d_m1 = h2d_op;
@@ -205,12 +184,7 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
     for (std::size_t back = 1; back <= 2 && back <= phase2_end; ++back) {
       const std::size_t d = phase2_end - back;
       if (d < phase2_begin) break;  // phase-1 front: already on the host
-      const std::size_t base = layout.front_offset(d);
-      for (std::size_t c = cpu_len(d); c < layout.front_size(d); ++c) {
-        const CellIndex cell = layout.cell(d, c);
-        table.at(cell.i, cell.j) = dtable.device_ptr()[base + c];
-        bytes += sizeof(V);
-      }
+      bytes += gpu_len(d) * sizeof(V);
     }
     entry_d2h = gpu.record_d2h(d2h_stream, bytes, sim::MemoryKind::kPageable,
                                last_gpu);
@@ -225,19 +199,14 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
   // Final download of the GPU-owned region (phase-2 suffixes).
   {
     std::size_t bytes = 0;
-    for (std::size_t d = phase2_begin; d < phase2_end; ++d) {
-      const std::size_t base = layout.front_offset(d);
-      for (std::size_t c = cpu_len(d); c < layout.front_size(d); ++c) {
-        const CellIndex cell = layout.cell(d, c);
-        table.at(cell.i, cell.j) = dtable.device_ptr()[base + c];
-        bytes += sizeof(V);
-      }
-    }
+    for (std::size_t d = phase2_begin; d < phase2_end; ++d)
+      bytes += gpu_len(d) * sizeof(V);
     const sim::OpId fin =
         gpu.record_d2h(d2h_stream, std::min(bytes, result_bytes_of(p)),
                        sim::MemoryKind::kPageable, last_gpu);
     platform.cpu_sync(fin, last_cpu);
   }
+  Grid<V> table = unpack_front_major(data, idx);
 
   if (stats) {
     stats->mode_used = Mode::kHeterogeneous;

@@ -11,12 +11,19 @@
 // Two-way traffic every iteration -> zero-copy mapped pinned boundary
 // cells (Section IV-C2): no copy-engine operations, direct cross-unit
 // dependencies, and a small mapped-access surcharge on both units.
+//
+// As in the anti-diagonal strategy, both units fill one host-visible
+// front-major table (the CPU's column strip is a prefix of every front,
+// the GPU's part the suffix), transfers are priced but no cell is mirrored
+// between host and device twins, and the table is unpacked into the
+// row-major result once.
 #pragma once
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
 #include "core/strategies/heuristics.h"
 #include "sim/launch_graph.h"
+#include "tables/front_major.h"
 
 namespace lddp {
 
@@ -58,11 +65,14 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
   const double cpu_extra_seconds = 0.0;
   if (split) info.extra_us = platform.spec().gpu.mapped_access_overhead_us;
 
-  Grid<V> table(n, m);
-  sim::DeviceBuffer<V> dtable = gpu.template alloc<V>(layout.size());
-  detail::GridReader<V> hread{&table};
-  detail::DeviceReader<V, KnightMoveLayout> dread{dtable.device_ptr(),
-                                                  &layout};
+  // Every cell is computed before any read of it: no fill needed.
+  const FrontMajorIndex<KnightMoveLayout> idx(layout, sizeof(V));
+  sim::DeviceBuffer<V> dtable =
+      gpu.template alloc<V>(idx.size(), /*zeroed=*/false);
+  V* const data = dtable.device_ptr();
+  auto addr = [data, &idx](std::size_t i, std::size_t j) {
+    return data + idx.flat(i, j);
+  };
 
   const auto compute_stream = gpu.default_stream();
   const auto h2d_stream = gpu.create_stream();
@@ -102,27 +112,18 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
         platform.spec().cpu, work, count, opts.mem_amplification, true);
     opts.extra_seconds = extra;
     opts.dep1 = dep;
-    if (use_batch) {
-      return platform.cpu_front(
-          count, work,
-          [&, t](std::size_t lo, std::size_t hi) {
-            detail::run_front_range(
-                p, deps, bound, layout, t, lo, hi,
-                [&table](std::size_t i, std::size_t j) {
-                  return &table.at(i, j);
-                },
-                /*batch=*/true);
-          },
-          opts);
-    }
     return platform.cpu_front(
         count, work,
-        [&, t](std::size_t c) {
-          const CellIndex cell = layout.cell(t, c);
-          table.at(cell.i, cell.j) =
-              detail::compute_cell(p, deps, bound, cell.i, cell.j, m, hread);
+        [&, t](std::size_t lo, std::size_t hi) {
+          detail::run_front_range(p, deps, bound, layout, t, lo, hi, addr,
+                                  batch);
         },
         opts);
+  };
+
+  // GPU-owned cells of front t (the suffix after the CPU prefix).
+  auto gpu_len = [&](std::size_t t) {
+    return layout.front_size(t) - std::min(cpu_len(t), layout.front_size(t));
   };
 
   sim::OpId last_cpu = sim::kNoOp, last_gpu = sim::kNoOp;
@@ -139,13 +140,8 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
     std::size_t bytes = 0;
     for (std::size_t back = 1; back <= 3 && back <= phase2_begin; ++back) {
       const std::size_t t = phase2_begin - back;
-      const std::size_t base = layout.front_offset(t);
-      for (std::size_t c = 0; c < layout.front_size(t); ++c) {
-        const CellIndex cell = layout.cell(t, c);
-        if (cell.j < lo_col) continue;
-        dtable.device_ptr()[base + c] = table.at(cell.i, cell.j);
-        bytes += sizeof(V);
-      }
+      for (std::size_t c = 0; c < layout.front_size(t); ++c)
+        if (layout.cell(t, c).j >= lo_col) bytes += sizeof(V);
     }
     entry_h2d = graph.record_h2d(h2d_stream, bytes,
                                  sim::MemoryKind::kPageable, last_cpu);
@@ -155,8 +151,8 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
   // The GPU front t depends on the CPU fronts t-1 and t-3 (mapped reads of
   // column s-1) — the CPU resource is FIFO, so depending on the newest CPU
   // op from fronts < t covers both. The CPU front t depends on the GPU
-  // front t-1 (mapped read of column s). The mapped boundary cells are
-  // mirrored eagerly after each producer completes.
+  // front t-1 (mapped read of column s). The mapped boundary cells live in
+  // the shared table, so each unit reads the other's directly.
   sim::OpId gpu_m1 = sim::kNoOp;
   for (std::size_t t = phase2_begin; t < phase2_end; ++t) {
     const std::size_t fs = layout.front_size(t);
@@ -165,59 +161,19 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
 
     sim::OpId cpu_op = sim::kNoOp;
     if (c > 0) {
-      if (split && t >= 1) {
-        // Mirror the GPU's boundary cell (i, s) of front t-1 into the host
-        // table before the CPU reads it as NE.
-        const std::size_t tt = t - 1;
-        if (tt >= s && (tt - s) % 2 == 0) {
-          const std::size_t i = (tt - s) / 2;
-          if (i < n) table.at(i, s) = dtable.device_ptr()[layout.flat(i, s)];
-        }
-      }
       cpu_op = run_cpu(t, c, gpu_m1, cpu_extra_seconds);
       last_cpu = cpu_op;
     }
 
     if (c < fs) {
-      if (split) {
-        // Mirror the CPU's boundary cells (i, s-1) of fronts t-1 and t-3
-        // into the device table before the GPU reads them as W / NW.
-        for (std::size_t back = 1; back <= 3; back += 2) {
-          if (t < back) continue;
-          const std::size_t tt = t - back;
-          if (tt >= s - 1 && (tt - (s - 1)) % 2 == 0) {
-            const std::size_t i = (tt - (s - 1)) / 2;
-            if (i < n)
-              dtable.device_ptr()[layout.flat(i, s - 1)] =
-                  table.at(i, s - 1);
-          }
-        }
-      }
-      const std::size_t base = layout.front_offset(t);
-      V* out = dtable.device_ptr();
       graph.stream_wait(compute_stream, entry_h2d);
-      if (use_batch) {
-        last_gpu = graph.launch(
-            compute_stream, info, fs - c,
-            [&, t, c, out](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(
-                  p, deps, bound, layout, t, c + lo, c + hi,
-                  [out, &layout](std::size_t i, std::size_t j) {
-                    return out + layout.flat(i, j);
-                  },
-                  /*batch=*/true);
-            },
-            cpu_prev);
-      } else {
-        last_gpu = graph.launch(
-            compute_stream, info, fs - c,
-            [&, t, c, base, out](std::size_t k) {
-              const CellIndex cell = layout.cell(t, c + k);
-              out[base + c + k] = detail::compute_cell(p, deps, bound, cell.i,
-                                                       cell.j, m, dread);
-            },
-            cpu_prev);
-      }
+      last_gpu = graph.launch(
+          compute_stream, info, fs - c,
+          [&, t, c](std::size_t lo, std::size_t hi) {
+            detail::run_front_range(p, deps, bound, layout, t, c + lo, c + hi,
+                                    addr, batch);
+          },
+          cpu_prev);
       entry_h2d = sim::kNoOp;  // only the first kernel waits on the bulk
     }
 
@@ -237,13 +193,7 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
     for (std::size_t back = 1; back <= 3 && back <= phase2_end; ++back) {
       const std::size_t t = phase2_end - back;
       if (t < phase2_begin) break;
-      const std::size_t base = layout.front_offset(t);
-      for (std::size_t c = std::min(cpu_len(t), layout.front_size(t));
-           c < layout.front_size(t); ++c) {
-        const CellIndex cell = layout.cell(t, c);
-        table.at(cell.i, cell.j) = dtable.device_ptr()[base + c];
-        bytes += sizeof(V);
-      }
+      bytes += gpu_len(t) * sizeof(V);
     }
     entry_d2h = gpu.record_d2h(d2h_stream, bytes, sim::MemoryKind::kPageable,
                                last_gpu);
@@ -258,20 +208,14 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
   // Final download of the GPU-owned region.
   {
     std::size_t bytes = 0;
-    for (std::size_t t = phase2_begin; t < phase2_end; ++t) {
-      const std::size_t base = layout.front_offset(t);
-      for (std::size_t c = std::min(cpu_len(t), layout.front_size(t));
-           c < layout.front_size(t); ++c) {
-        const CellIndex cell = layout.cell(t, c);
-        table.at(cell.i, cell.j) = dtable.device_ptr()[base + c];
-        bytes += sizeof(V);
-      }
-    }
+    for (std::size_t t = phase2_begin; t < phase2_end; ++t)
+      bytes += gpu_len(t) * sizeof(V);
     const sim::OpId fin =
         gpu.record_d2h(d2h_stream, std::min(bytes, result_bytes_of(p)),
                        sim::MemoryKind::kPageable, last_gpu);
     platform.cpu_sync(fin, last_cpu);
   }
+  Grid<V> table = unpack_front_major(data, idx);
 
   if (stats) {
     stats->mode_used = Mode::kHeterogeneous;

@@ -211,4 +211,31 @@ inline std::uint32_t load4_reversed(const char* p) {
          (x << 24);
 }
 
+/// Copies a 4 x 4 block of 4-byte elements transposed: element r of
+/// out[c] receives element c of in[r]. Each pointer addresses 4
+/// consecutive elements, with no alignment requirement. A pure bit copy.
+inline void transpose4x4_copy32(const void* const in[4], void* const out[4]) {
+#if LDDP_SIMD_SSE2
+  auto ld = [](const void* p) {
+    return _mm_loadu_si128(static_cast<const __m128i*>(p));
+  };
+  const __m128i v0 = ld(in[0]), v1 = ld(in[1]), v2 = ld(in[2]),
+                v3 = ld(in[3]);
+  const __m128i t0 = _mm_unpacklo_epi32(v0, v1);
+  const __m128i t1 = _mm_unpacklo_epi32(v2, v3);
+  const __m128i t2 = _mm_unpackhi_epi32(v0, v1);
+  const __m128i t3 = _mm_unpackhi_epi32(v2, v3);
+  _mm_storeu_si128(static_cast<__m128i*>(out[0]), _mm_unpacklo_epi64(t0, t1));
+  _mm_storeu_si128(static_cast<__m128i*>(out[1]), _mm_unpackhi_epi64(t0, t1));
+  _mm_storeu_si128(static_cast<__m128i*>(out[2]), _mm_unpacklo_epi64(t2, t3));
+  _mm_storeu_si128(static_cast<__m128i*>(out[3]), _mm_unpackhi_epi64(t2, t3));
+#else
+  std::uint32_t b[4][4];
+  for (int r = 0; r < 4; ++r) std::memcpy(b[r], in[r], 16);
+  for (int c = 0; c < 4; ++c)
+    for (int r = 0; r < 4; ++r)
+      std::memcpy(static_cast<char*>(out[c]) + 4 * r, &b[r][c], 4);
+#endif
+}
+
 }  // namespace lddp::simd

@@ -123,8 +123,9 @@ class RecordingProblem {
       ASSERT_LT_OR_RETURN(j, cols());
       EXPECT_GE(i, 1u) << "span reaches the top boundary row";
       EXPECT_GE(j, 1u) << "span reaches the left boundary column";
-      if (d.has_ne())
+      if (d.has_ne()) {
         EXPECT_LT(j + 1, cols()) << "NE span reaches the right edge";
+      }
       ++hook_->at(i, j);
     }
     return base_.compute_front(s);

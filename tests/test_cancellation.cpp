@@ -84,8 +84,9 @@ void cancel_race_level(long long workers) {
           << k;
     }
     // A request whose flag was never raised must have succeeded.
-    if (!sources[k].cancel_requested())
+    if (!sources[k].cancel_requested()) {
       EXPECT_EQ(rep.items[k].outcome, chaos::RequestOutcome::kOk) << k;
+    }
   }
 }
 

@@ -181,8 +181,9 @@ void run_plan(std::uint64_t plan_seed, bool inline_workers) {
       ADD_FAILURE() << "unstructured error escaped: " << e.what();
     }
     // A request cancelled before submission must never report success.
-    if (requests[k].cancel_upfront)
+    if (requests[k].cancel_upfront) {
       EXPECT_EQ(outcome, chaos::RequestOutcome::kCancelled);
+    }
   }
 }
 

@@ -515,8 +515,9 @@ TEST(BatchLifecycle, LaneCohortFaultDegradesToSolo) {
   // Lane eligibility needs SIMD lanes; when the host ISA disables lane
   // packing the cohort never forms and nothing degrades — either way the
   // results above are bit-identical.
-  if (rep.lane_cohorts > 0 || rep.lane_packed_solves > 0)
+  if (rep.lane_cohorts > 0 || rep.lane_packed_solves > 0) {
     EXPECT_TRUE(any_lane_degrade);
+  }
 }
 
 /// Per-request deadlines in simulated time: an impossible budget times

@@ -367,9 +367,10 @@ TEST(FrontierBatch, LaneCohortFrontierIdentity) {
   }
   const BatchReport rep = engine.wait();
   ASSERT_EQ(rep.solves, 6u);
-  if (lanes::preferred_lane_width() > 1)
+  if (lanes::preferred_lane_width() > 1) {
     EXPECT_GT(rep.lane_packed_solves, 0u)
         << "same-class serial frontier requests should cohort";
+  }
 
   for (std::size_t k = 0; k < probs.size(); ++k) {
     const auto ref = solve(probs[k], RunConfig{});

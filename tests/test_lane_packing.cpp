@@ -222,6 +222,26 @@ TEST(LanePacking, CohortCapAndReportCounters) {
   EXPECT_LE(rep.lane_occupancy, 1.0);
 }
 
+// Lane-packed solves report the table memory they hold, like solo solves:
+// the result grid plus the lane's two rolling lane-major rows.
+TEST(LanePacking, ReportsPeakTableBytes) {
+  BatchEngine engine(lane_config());
+  std::vector<std::future<SolveResult<problems::LevenshteinProblem>>> futs;
+  for (std::size_t k = 0; k < 4; ++k) {
+    RunConfig rc;
+    rc.mode = Mode::kCpuSerial;
+    auto f = engine.submit(
+        problems::LevenshteinProblem(rand_str(63, k), rand_str(79, k + 9)),
+        rc);
+    ASSERT_TRUE(f.has_value());
+    futs.push_back(std::move(*f));
+  }
+  const BatchReport rep = engine.wait();
+  EXPECT_GE(rep.lane_packed_solves, 2u);
+  for (auto& f : futs)
+    EXPECT_EQ(f.get().stats.peak_table_bytes, (64 + 2) * 80 * sizeof(int));
+}
+
 // Large tables and non-CPU modes are not lane-eligible.
 TEST(LanePacking, EligibilityRespectsModeAndCells) {
   {

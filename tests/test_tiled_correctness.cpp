@@ -101,7 +101,7 @@ TEST(TiledCorrectnessTest, TileSizeSweep) {
 }
 
 TEST(TiledCorrectnessTest, DegenerateShapes) {
-  for (const auto [rows, cols] :
+  for (const auto& [rows, cols] :
        {std::pair<std::size_t, std::size_t>{1, 64},
         std::pair<std::size_t, std::size_t>{64, 1},
         std::pair<std::size_t, std::size_t>{1, 1},
@@ -218,12 +218,19 @@ TEST(TileSchedulerTest, CrossTileDependenciesPointToEarlierFronts) {
     for (std::size_t i = 0; i < 23; ++i)
       for (std::size_t j = 0; j < 31; ++j) {
         const std::size_t g = front_of.at(i, j);
-        if (deps.has_w() && j > 0) ASSERT_LE(front_of.at(i, j - 1), g);
+        if (deps.has_w() && j > 0) {
+          ASSERT_LE(front_of.at(i, j - 1), g);
+        }
         if (i > 0) {
-          if (deps.has_nw() && j > 0) ASSERT_LE(front_of.at(i - 1, j - 1), g);
-          if (deps.has_n()) ASSERT_LE(front_of.at(i - 1, j), g);
-          if (deps.has_ne() && j + 1 < 31)
+          if (deps.has_nw() && j > 0) {
+            ASSERT_LE(front_of.at(i - 1, j - 1), g);
+          }
+          if (deps.has_n()) {
+            ASSERT_LE(front_of.at(i - 1, j), g);
+          }
+          if (deps.has_ne() && j + 1 < 31) {
             ASSERT_LE(front_of.at(i - 1, j + 1), g);
+          }
         }
       }
   }
