@@ -1,34 +1,34 @@
-// Ablation: work-stealing executor versus the static fork/join pools.
-// This bench measures *real wall-clock* — the substrate changes how fast
-// the host retires fronts, never the simulated schedule (results and
-// recorded timelines are bit-identical across schedules by contract;
+// Ablation: the work-stealing executor (the one host CPU substrate)
+// versus inline execution on the calling thread. This bench measures
+// *real wall-clock* — the executor changes how fast the host retires
+// fronts, never the simulated schedule (results and recorded timelines
+// are identical with and without a pool by contract;
 // tests/test_stealing_executor.cpp holds that line).
 //
-// Three measurements; (b) and (c) are gated (nonzero exit on regression
-// so the perf-smoke CI job catches it):
+// Three measurements; (c) is gated (nonzero exit on regression so the
+// perf-smoke CI job catches it):
 //
 //  (a) Ragged solo solves: anti-diagonal Levenshtein 1k..8k in
-//      Mode::kCpuParallel, static 4-thread pool vs the shared stealing
-//      executor. Recorded, not gated — front lengths grow 1..n..1, so
-//      the share of fronts crossing the parallel-dispatch threshold (and
-//      with it the substrate's influence) rises with n.
-//  (b) Mixed-size batch of 16 (four 4k-wide + twelve 256): the batch
-//      engine with threads_per_solve=4 and 4 slots, legacy private
-//      per-slot pools vs the shared stealing executor (the cooperative
-//      pool is recorded as a third arm for context). The big solves use
-//      a horizontal-pattern synthetic (every front is 4096 cells wide)
-//      so each front actually reaches the substrate; 4k *anti-diagonal*
-//      tables would cross the dispatch threshold on only ~3 of 8k fronts
-//      and measure nothing. They are also sized ABOVE kLaneMaxCells —
-//      lane-eligible solves execute as interleaved SIMD scans and never
-//      touch the pool substrate at all. Private pools oversubscribe whenever
-//      slots x threads_per_solve exceeds the machine; stealing right-
-//      sizes ONE shared executor to the hardware. Gate: stealing
-//      achieves >= 1.25x solves/second over the private-pool substrate.
+//      Mode::kCpuParallel, inline (RunConfig::pool = nullptr) vs the
+//      shared executor (&cpu::shared_stealing_pool()). Recorded, not
+//      gated — front lengths grow 1..n..1, so the share of fronts
+//      crossing the parallel-dispatch threshold (and with it the
+//      executor's influence) rises with n.
+//  (b) Mixed-size batch of 16 (four 1024x4096 wide + twelve 256): the
+//      batch engine with 2 slot threads, threads_per_solve = 4 (one
+//      engine-owned executor of min(hardware, 8) - 2 workers) vs 1 (every
+//      front inline on its slot thread). The big
+//      solves use a horizontal-pattern synthetic (every front is 4096
+//      cells wide) so each front actually reaches the executor; they are
+//      also sized ABOVE kLaneMaxCells — lane-eligible solves execute as
+//      interleaved SIMD scans and never touch the executor. Recorded, not
+//      gated: the contrast is how well the executor fills the cores the
+//      two slot threads leave idle, which depends on the host's core
+//      count (a 2-core host gets no workers, and the arms tie).
 //      Arms run interleaved so host drift cannot pick the winner.
 //  (c) Uniform small fronts: Levenshtein 1024 solo (every front below
-//      the dispatch threshold, so both substrates run inline). Gate:
-//      stealing is never worse than 1.05x static wall-clock — the
+//      the dispatch threshold, so both arms run inline). Gate: the
+//      executor arm is never worse than 1.05x inline wall-clock — the
 //      executor must cost nothing when it is not used.
 #include <algorithm>
 #include <cstdio>
@@ -69,58 +69,48 @@ auto make_wide_problem(std::size_t rows, std::size_t cols,
       });
 }
 
-/// (a) Ragged solo solves, static pool vs stealing executor.
+/// (a) Ragged solo solves, inline vs the shared executor.
 void solo_ragged(lddp::bench::JsonWriter& json) {
   std::printf("=== (a) Ragged anti-diagonal solo solves, CPU parallel "
               "(wall ms, best of 2) ===\n");
-  std::printf("%8s %12s %12s %9s\n", "n", "static", "stealing", "ratio");
-  cpu::ThreadPool static_pool(4);
+  std::printf("%8s %12s %12s %9s\n", "n", "inline", "executor", "speedup");
   sim::BufferPool buffers;
   for (const std::size_t n : {1024u, 2048u, 4096u, 8192u}) {
     const problems::LevenshteinProblem p(random_dna(n, 2 * n),
                                          random_dna(n, 2 * n + 1));
-    RunConfig cfg;
-    cfg.mode = Mode::kCpuParallel;
-    cfg.buffer_pool = &buffers;
+    RunConfig in;
+    in.mode = Mode::kCpuParallel;
+    in.buffer_pool = &buffers;
+    const double wall_inline = lddp::bench::min_wall_seconds(
+        [&] { solve(p, in); }, /*reps=*/2, /*warmup=*/1);
 
-    RunConfig st = cfg;
-    st.schedule = cpu::Schedule::kStatic;
-    st.pool = &static_pool;
-    const double wall_static = lddp::bench::min_wall_seconds(
-        [&] { solve(p, st); }, /*reps=*/2, /*warmup=*/1);
+    RunConfig ex = in;
+    ex.pool = &cpu::shared_stealing_pool();
+    const double wall_exec = lddp::bench::min_wall_seconds(
+        [&] { solve(p, ex); }, /*reps=*/2, /*warmup=*/1);
 
-    RunConfig wk = cfg;
-    wk.schedule = cpu::Schedule::kStealing;
-    const double wall_steal = lddp::bench::min_wall_seconds(
-        [&] { solve(p, wk); }, /*reps=*/2, /*warmup=*/1);
-
-    std::printf("%8zu %12.3f %12.3f %8.2fx\n", n, wall_static * 1e3,
-                wall_steal * 1e3, wall_static / wall_steal);
-    json.record_wall("solo_ragged/static", n, wall_static * 1e3);
-    json.record_wall("solo_ragged/stealing", n, wall_steal * 1e3);
+    std::printf("%8zu %12.3f %12.3f %8.2fx\n", n, wall_inline * 1e3,
+                wall_exec * 1e3, wall_inline / wall_exec);
+    json.record_wall("solo_ragged/inline", n, wall_inline * 1e3);
+    json.record_wall("solo_ragged/executor", n, wall_exec * 1e3);
   }
 }
 
 /// One mixed batch through the engine; returns wall seconds for the batch.
-/// `worker_threads` is pinned to 4 so the contrast under test exists even
-/// on small hosts: the static substrate gives each of the 4 slots a
-/// private threads_per_solve pool (16 threads — oversubscribed whenever
-/// the machine has fewer cores), while the stealing substrate sizes ONE
-/// shared executor to min(hardware, slots x threads_per_solve).
-double batch_wall_once(cpu::Schedule schedule, bool pack) {
+/// `worker_threads` is pinned to 2 so both arms run 2 slot threads on any
+/// host, leaving cores for the executor; only `threads_per_solve` differs.
+double batch_wall_once(std::size_t threads_per_solve) {
   // 1024x4096 = 4M cells: over detail::kLaneMaxCells, so the big solves
-  // take the job->run path and actually exercise the slot's substrate.
+  // take the job->run path and actually exercise the executor.
   static auto big = make_wide_problem(1024, 4096, 7);
   static problems::LevenshteinProblem small(random_dna(256, 5),
                                             random_dna(256, 6));
   Stopwatch timer;
   {
     BatchConfig bc;
-    bc.schedule = schedule;
-    bc.pack_solves = pack;
-    bc.threads_per_solve = 4;
+    bc.threads_per_solve = threads_per_solve;
     bc.concurrency = 4;
-    bc.worker_threads = 4;
+    bc.worker_threads = 2;
     BatchEngine engine(bc);
     RunConfig rc;
     rc.mode = Mode::kCpuParallel;
@@ -141,87 +131,58 @@ double batch_wall_once(cpu::Schedule schedule, bool pack) {
   return timer.seconds();
 }
 
-/// (b) Mixed-size batch, gated >= 1.25x against the legacy private-pool
-/// substrate. Three arms:
-///   * private  — schedule=static, pack_solves=off: every slot owns a
-///     threads_per_solve pool. This is the substrate the stealing
-///     executor replaces, and the GATED baseline.
-///   * coop     — schedule=static, pack_solves=on: the cooperative
-///     single-pool time-share (recorded for context, not gated — it also
-///     flips on cross-solve lane packing, so it is not a pure substrate
-///     comparison).
-///   * stealing — pack_solves=off so it differs from `private` in the
-///     substrate ONLY.
-/// The arms are measured INTERLEAVED (private, coop, stealing, private,
-/// ...) and each takes its best rep: host-level drift across the run
-/// (frequency scaling, noisy neighbours, allocator state) then biases
-/// every arm equally instead of whichever happened to run last.
+/// (b) Mixed-size batch, threads_per_solve 4 vs 1, recorded only. The
+/// arms are measured INTERLEAVED and each takes its best rep: host-level
+/// drift across the run (frequency scaling, noisy neighbours, allocator
+/// state) then biases both arms equally.
 void batch_mixed(lddp::bench::JsonWriter& json) {
   std::printf("\n=== (b) Mixed batch of 16 (four 1024x4096 wide + twelve "
-              "256), threads_per_solve=4, 4 slots ===\n");
+              "256), 2 slot threads ===\n");
   constexpr int kReps = 4;
-  double wall_pr = 1e300, wall_co = 1e300, wall_wk = 1e300;
-  batch_wall_once(cpu::Schedule::kStatic, false);   // warm every substrate
-  batch_wall_once(cpu::Schedule::kStatic, true);    // (and the problem
-  batch_wall_once(cpu::Schedule::kStealing, false); // tables)
+  double wall_1 = 1e300, wall_4 = 1e300;
+  batch_wall_once(1);  // warm both arms (and the problem tables)
+  batch_wall_once(4);
   for (int rep = 0; rep < kReps; ++rep) {
-    wall_pr = std::min(wall_pr,
-                       batch_wall_once(cpu::Schedule::kStatic, false));
-    wall_co = std::min(wall_co,
-                       batch_wall_once(cpu::Schedule::kStatic, true));
-    wall_wk = std::min(wall_wk,
-                       batch_wall_once(cpu::Schedule::kStealing, false));
+    wall_1 = std::min(wall_1, batch_wall_once(1));
+    wall_4 = std::min(wall_4, batch_wall_once(4));
   }
-  const double pr = 16.0 / wall_pr;
-  const double co = 16.0 / wall_co;
-  const double wk = 16.0 / wall_wk;
-  const double speedup = pr > 0.0 ? wk / pr : 0.0;
-  std::printf("private %8.2f solves/s | coop %8.2f solves/s | stealing "
-              "%8.2f solves/s | stealing/private %.2fx\n",
-              pr, co, wk, speedup);
-  json.record_wall("batch_mixed/private_pools", 16, wall_pr * 1e3, pr);
-  json.record_wall("batch_mixed/coop_pool", 16, wall_co * 1e3, co);
-  json.record_wall("batch_mixed/stealing", 16, wall_wk * 1e3, wk);
-  if (speedup < 1.25) {
-    std::fprintf(stderr,
-                 "GATE FAIL: mixed-batch stealing speedup %.2fx < 1.25x "
-                 "over private pools\n",
-                 speedup);
-    ++failures;
-  }
+  const double r1 = 16.0 / wall_1;
+  const double r4 = 16.0 / wall_4;
+  std::printf("threads_per_solve=1 %8.2f solves/s | threads_per_solve=4 "
+              "%8.2f solves/s | %.2fx\n",
+              r1, r4, r4 / r1);
+  json.record_wall("batch_mixed/threads_per_solve_1", 16, wall_1 * 1e3, r1,
+                   "solves_per_s");
+  json.record_wall("batch_mixed/threads_per_solve_4", 16, wall_4 * 1e3, r4,
+                   "solves_per_s");
 }
 
-/// (c) Uniform small fronts, gated never-worse 1.05x.
+/// (c) Uniform small fronts, gated never-worse 1.05x against inline.
 void small_fronts_never_worse(lddp::bench::JsonWriter& json) {
   std::printf("\n=== (c) Uniform small fronts (Levenshtein 1024, every "
               "front below the dispatch threshold) ===\n");
   const problems::LevenshteinProblem p(random_dna(1024, 21),
                                        random_dna(1024, 22));
-  cpu::ThreadPool static_pool(4);
   sim::BufferPool buffers;
-  RunConfig cfg;
-  cfg.mode = Mode::kCpuParallel;
-  cfg.buffer_pool = &buffers;
+  RunConfig in;
+  in.mode = Mode::kCpuParallel;
+  in.buffer_pool = &buffers;
+  const double wall_inline = lddp::bench::min_wall_seconds(
+      [&] { solve(p, in); }, /*reps=*/5, /*warmup=*/2);
 
-  RunConfig st = cfg;
-  st.schedule = cpu::Schedule::kStatic;
-  st.pool = &static_pool;
-  const double wall_static = lddp::bench::min_wall_seconds(
-      [&] { solve(p, st); }, /*reps=*/5, /*warmup=*/2);
+  RunConfig ex = in;
+  ex.pool = &cpu::shared_stealing_pool();
+  const double wall_exec = lddp::bench::min_wall_seconds(
+      [&] { solve(p, ex); }, /*reps=*/5, /*warmup=*/2);
 
-  RunConfig wk = cfg;
-  wk.schedule = cpu::Schedule::kStealing;
-  const double wall_steal = lddp::bench::min_wall_seconds(
-      [&] { solve(p, wk); }, /*reps=*/5, /*warmup=*/2);
-
-  const double ratio = wall_steal / wall_static;
-  std::printf("static %.3f ms | stealing %.3f ms | ratio %.3f\n",
-              wall_static * 1e3, wall_steal * 1e3, ratio);
-  json.record_wall("small_fronts/static", 1024, wall_static * 1e3);
-  json.record_wall("small_fronts/stealing", 1024, wall_steal * 1e3);
+  const double ratio = wall_exec / wall_inline;
+  std::printf("inline %.3f ms | executor %.3f ms | ratio %.3f\n",
+              wall_inline * 1e3, wall_exec * 1e3, ratio);
+  json.record_wall("small_fronts/inline", 1024, wall_inline * 1e3);
+  json.record_wall("small_fronts/executor", 1024, wall_exec * 1e3);
   if (ratio > 1.05) {
     std::fprintf(stderr,
-                 "GATE FAIL: stealing %.2fx slower than static on small "
+                 "GATE FAIL: executor %.2fx slower than inline on small "
                  "fronts (limit 1.05x)\n",
                  ratio);
     ++failures;

@@ -88,12 +88,14 @@ class JsonWriter {
   /// Wall-clock-only record for benches with no simulated timeline (e.g.
   /// host-side throughput ablations). Emits no `simulated_ms` field —
   /// previously such rows carried a misleading `"simulated_ms": 0.000000`.
-  /// `cells_per_s` > 0 additionally records achieved cell throughput.
+  /// `rate` > 0 additionally records achieved throughput under the field
+  /// name `rate_name` (cells/s by default).
   void record_wall(const std::string& label, std::size_t size, double wall_ms,
-                   double cells_per_s = 0.0) {
+                   double rate = 0.0, const char* rate_name = "cells_per_s") {
     Row r{label, size, 0.0, wall_ms};
     r.has_sim = false;
-    r.cells_per_s = cells_per_s;
+    r.rate = rate;
+    r.rate_name = rate_name;
     rows_.push_back(r);
   }
 
@@ -118,19 +120,17 @@ class JsonWriter {
     }
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n", name_.c_str());
     // Hardware context rides along with the toolchain stanza: wall-clock
-    // rows (and especially executor-schedule ablations) are meaningless
-    // without the core count and substrate they ran on.
+    // rows (and especially executor ablations) are meaningless without
+    // the core count they ran on.
     std::fprintf(f,
                  "  \"build\": {\"compiler\": \"%s\", \"flags\": \"%s\", "
                  "\"git_sha\": \"%s\", \"batch_kernels_default\": %s, "
-                 "\"hardware_concurrency\": %u, \"schedule\": \"%s\", "
+                 "\"hardware_concurrency\": %u, "
                  "\"executor_workers\": %zu},\n",
                  json_escape(__VERSION__).c_str(),
                  json_escape(LDDP_CXX_FLAGS).c_str(), LDDP_GIT_SHA,
                  RunConfig{}.batch_kernels ? "true" : "false",
                  std::thread::hardware_concurrency(),
-                 cpu::to_string(cpu::resolve_schedule(RunConfig{}.schedule))
-                     .c_str(),
                  std::size_t{1} + cpu::shared_executor_workers());
     std::fprintf(f, "  \"results\": [\n");
     for (std::size_t i = 0; i < rows_.size(); ++i) {
@@ -140,8 +140,8 @@ class JsonWriter {
       if (r.has_sim)
         std::fprintf(f, ", \"simulated_ms\": %.6f", r.simulated_ms);
       if (r.has_wall) std::fprintf(f, ", \"wall_ms\": %.6f", r.wall_ms);
-      if (r.cells_per_s > 0.0)
-        std::fprintf(f, ", \"cells_per_s\": %.0f", r.cells_per_s);
+      if (r.rate > 0.0)
+        std::fprintf(f, ", \"%s\": %.0f", r.rate_name, r.rate);
       std::fprintf(f, "}%s\n", i + 1 < rows_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -155,7 +155,8 @@ class JsonWriter {
     std::size_t size;
     double simulated_ms;
     double wall_ms;
-    double cells_per_s = 0.0;
+    double rate = 0.0;
+    const char* rate_name = "cells_per_s";
     bool has_sim = true;
     bool has_wall = true;
   };

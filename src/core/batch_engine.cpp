@@ -71,45 +71,24 @@ BatchEngine::BatchEngine(BatchConfig cfg) : cfg_(std::move(cfg)) {
   } else {
     nworkers = static_cast<std::size_t>(cfg_.worker_threads);
   }
-  const std::size_t nslots = std::max<std::size_t>(nworkers, 1);
-  pools_.reserve(nslots);
-  // Substrate decision. kStealing replaces both the per-slot private pools
-  // and the fixed coop pool with ONE engine-owned work-stealing executor:
-  // every slot submits morsels to the same worker set, so per-solve thread
-  // quotas become soft priorities instead of hard partitions. The executor
-  // is sized to the machine, not to concurrency x threads_per_solve —
-  // extra workers beyond the engine's own slot threads, never negative
-  // (on few-core hosts the slots themselves saturate the machine and all
-  // fronts run inline, avoiding oversubscription entirely).
-  const bool stealing =
-      cpu::resolve_schedule(cfg_.schedule) == cpu::Schedule::kStealing &&
-      cfg_.threads_per_solve > 1;
-  if (stealing) {
+  // One engine-owned executor serves every in-flight solve: per-solve
+  // thread counts become soft targets instead of hard partitions, and a
+  // finishing solve's workers drain the morsels of the solves still
+  // running. It is sized to the machine, not to concurrency x
+  // threads_per_solve: workers beyond the engine's own slot threads, never
+  // negative (on few-core hosts the slots saturate the machine and every
+  // front runs inline).
+  if (cfg_.threads_per_solve > 1) {
+    const std::size_t nslots = std::max<std::size_t>(nworkers, 1);
     const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    const std::size_t want = std::min<std::size_t>(
-        hw, nslots * static_cast<std::size_t>(cfg_.threads_per_solve));
-    const std::size_t extra = want > nslots ? want - nslots : 0;
-    stealing_exec_ = std::make_unique<cpu::StealingExecutor>(extra);
-    stealing_pool_ = std::make_unique<cpu::ThreadPool>(stealing_exec_.get());
-  }
-  // Packed batches co-schedule every slot's strip sessions on ONE
-  // cooperative pool (threads_per_solve host threads total) instead of
-  // giving each slot a private pool (concurrency x threads_per_solve
-  // threads contending for the same cores).
-  const bool coop = !stealing && cfg_.pack_solves &&
-                    cfg_.threads_per_solve > 1 && nslots > 1;
-  if (coop)
-    coop_pool_ = std::make_unique<cpu::ThreadPool>(cfg_.threads_per_solve,
-                                                   /*coop_strips=*/true);
-  for (std::size_t s = 0; s < nslots; ++s) {
-    pools_.push_back(!stealing && !coop && cfg_.threads_per_solve > 1
-                         ? std::make_unique<cpu::ThreadPool>(
-                               cfg_.threads_per_solve)
-                         : nullptr);
+    const std::size_t want =
+        std::min<std::size_t>(hw, nslots * cfg_.threads_per_solve);
+    pool_ = std::make_unique<cpu::ThreadPool>(
+        want > nslots ? want - nslots + 1 : 1);
   }
   workers_.reserve(nworkers);
   for (std::size_t s = 0; s < nworkers; ++s)
-    workers_.emplace_back([this, s] { worker_loop(s); });
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 BatchEngine::~BatchEngine() {
@@ -269,7 +248,7 @@ void BatchEngine::drain_one_locked(std::unique_lock<std::mutex>& lock) {
   }
   running_ += cohort.size();
   lock.unlock();
-  run_cohort(cohort, slot_pool(0));
+  run_cohort(cohort, pool_.get());
   lock.lock();
   cv_space_.notify_all();
 }
@@ -294,7 +273,7 @@ bool BatchEngine::admit(std::unique_ptr<Job> job) {
   return true;
 }
 
-void BatchEngine::worker_loop(std::size_t slot) {
+void BatchEngine::worker_loop() {
   for (;;) {
     std::vector<Job*> cohort;
     {
@@ -308,7 +287,7 @@ void BatchEngine::worker_loop(std::size_t slot) {
       running_ += cohort.size();
     }
     cv_space_.notify_all();
-    run_cohort(cohort, slot_pool(slot));
+    run_cohort(cohort, pool_.get());
   }
 }
 

@@ -10,9 +10,9 @@
 //
 //  * submit() admits a request through a bounded queue (reject-or-wait
 //    backpressure) and returns a future for its bit-exact SolveResult;
-//  * worker threads execute admitted solves concurrently for real — each
-//    in-flight solve gets its own ThreadPool (strip sessions never share a
-//    master) and a per-solve quota view of the shared BufferPool arenas;
+//  * worker threads execute admitted solves concurrently for real — their
+//    parallel fronts share one engine-owned work-stealing executor — and
+//    each solve gets a per-solve quota view of the shared BufferPool arenas;
 //  * each solve records its private simulated schedule (the exact op DAG a
 //    solo run would produce), and wait() replays all of them onto one
 //    shared sim::Platform under the configured scheduler policy — FIFO,
@@ -87,21 +87,15 @@ struct BatchConfig {
   /// deterministic real execution, used by the unit tests. The simulated
   /// report is identical either way.
   long long worker_threads = -1;
-  /// Host threads per in-flight solve (each worker owns a private
-  /// ThreadPool of this size, so strip sessions of concurrent solves never
-  /// contend for a master). <= 1 runs each solve single-threaded.
+  /// Host threads per in-flight solve. > 1 gives the engine ONE
+  /// work-stealing executor shared by every in-flight solve, sized to
+  /// min(hardware, slots x threads_per_solve) threads counting the slot
+  /// threads themselves, so the host is never oversubscribed; per-solve
+  /// counts are soft targets, and a finishing solve's workers drain the
+  /// morsels of the solves still running. <= 1 runs each solve's fronts
+  /// inline. Results and merged simulated reports are identical either
+  /// way; only host wall-clock changes.
   std::size_t threads_per_solve = 1;
-  /// CPU execution substrate (effective when threads_per_solve > 1).
-  /// kAuto resolves to kStealing: ONE engine-owned work-stealing executor
-  /// serves every in-flight solve — per-solve worker counts become soft
-  /// targets rather than hard thread partitions, the executor is sized to
-  /// min(hardware, slots x threads_per_solve) so the host is never
-  /// oversubscribed, and a finishing solve's workers immediately drain
-  /// the morsels of the solves still running. kStatic restores the legacy
-  /// substrate exactly: private per-slot pools, or the one cooperative
-  /// pool under pack_solves. Results and merged simulated reports are
-  /// bit-identical across substrates; only host wall-clock changes.
-  cpu::Schedule schedule = cpu::Schedule::kAuto;
   /// Per-solve cap on bytes borrowed from the shared buffer-pool arenas
   /// (QuotaBufferPool); over-quota acquisitions fall through to the heap.
   /// 0 = unlimited.
@@ -117,13 +111,9 @@ struct BatchConfig {
   /// simulated scheduling step, co-ready GPU fronts / DMA descriptors of
   /// distinct in-flight solves are emitted as one multi-tenant packed
   /// launch — the window head pays its full submission cost, riders pay
-  /// packed_segment_issue_us instead of their launch/issue/fill overhead —
-  /// and, when threads_per_solve > 1, all executor slots share ONE
-  /// cooperative ThreadPool whose strip sessions time-share the workers at
-  /// front granularity instead of oversubscribing the host with
-  /// concurrency x threads_per_solve threads. Results stay bit-identical;
-  /// only merged simulated timing changes. Individual requests opt out via
-  /// RunConfig::pack_solves = 0.
+  /// packed_segment_issue_us instead of their launch/issue/fill overhead.
+  /// Results stay bit-identical; only merged simulated timing changes.
+  /// Individual requests opt out via RunConfig::pack_solves = 0.
   bool pack_solves = true;
   /// Inter-solve SIMD lane packing: small CPU-resolved requests of the
   /// same solve class (SolveClassKey — problem kind, contributing set,
@@ -420,11 +410,6 @@ class BatchEngine {
                    sim::BufferPool* buffers) mutable {
       rc.platform = platform;
       rc.pool = pool;
-      // The engine owns the substrate decision (BatchConfig::schedule):
-      // pin the per-request schedule to kStatic so solve() uses the
-      // engine-assigned pool verbatim instead of re-routing to the
-      // process-wide shared executor.
-      rc.schedule = cpu::Schedule::kStatic;
       rc.buffer_pool = buffers;
       // Cross-solve tuning cache: auto-parameter heterogeneous requests
       // reuse one sweep per equivalence class (first contact pays it).
@@ -500,11 +485,6 @@ class BatchEngine {
                    sim::BufferPool* buffers) mutable {
       rc.platform = platform;
       rc.pool = pool;
-      // The engine owns the substrate decision (BatchConfig::schedule):
-      // pin the per-request schedule to kStatic so solve() uses the
-      // engine-assigned pool verbatim instead of re-routing to the
-      // process-wide shared executor.
-      rc.schedule = cpu::Schedule::kStatic;
       rc.buffer_pool = buffers;
       rc.trace_path.clear();
       run_lifecycle<FrontierSolveResult<P>>(
@@ -891,7 +871,7 @@ class BatchEngine {
   std::size_t lane_limit() const;
   void run_job(Job& job, cpu::ThreadPool* pool);
   void run_cohort(const std::vector<Job*>& cohort, cpu::ThreadPool* pool);
-  void worker_loop(std::size_t slot);
+  void worker_loop();
   void drain_one_locked(std::unique_lock<std::mutex>& lock);
   BatchReport build_report(
       const std::vector<std::unique_ptr<Job>>& jobs) const;
@@ -913,24 +893,10 @@ class BatchEngine {
   std::size_t peak_inflight_table_bytes_ = 0;
   std::size_t budget_deferrals_ = 0;
 
-  // One private pool per executor slot (index 0 doubles as the inline
-  // slot when worker_threads == 0). With pack_solves, slots instead share
-  // coop_pool_ — one cooperative pool of threads_per_solve workers whose
-  // strip sessions time-share at front granularity (no host
-  // oversubscription).
-  std::vector<std::unique_ptr<cpu::ThreadPool>> pools_;
-  std::unique_ptr<cpu::ThreadPool> coop_pool_;
-  // Stealing substrate (BatchConfig::schedule resolving to kStealing): ONE
-  // engine-owned executor shared by every slot, fronted by a workerless
-  // facade pool. Replaces both private pools and the coop pool.
-  std::unique_ptr<cpu::StealingExecutor> stealing_exec_;
-  std::unique_ptr<cpu::ThreadPool> stealing_pool_;
+  // The engine's executor (threads_per_solve > 1), shared by every slot;
+  // null runs every front inline.
+  std::unique_ptr<cpu::ThreadPool> pool_;
   std::vector<std::thread> workers_;
-
-  cpu::ThreadPool* slot_pool(std::size_t slot) {
-    if (stealing_pool_) return stealing_pool_.get();
-    return coop_pool_ ? coop_pool_.get() : pools_[slot].get();
-  }
 };
 
 }  // namespace lddp

@@ -59,15 +59,6 @@ inline Mode resolve_auto(Mode mode, std::size_t cells) {
                                        : Mode::kHeterogeneous;
 }
 
-/// RunConfig::schedule resolution for solo solves: kStealing swaps in the
-/// process-wide stealing facade; kStatic/kAuto keep cfg.pool verbatim
-/// (null included), preserving the legacy inline behaviour bit-for-bit.
-inline cpu::ThreadPool* resolve_pool(const RunConfig& cfg) {
-  return cfg.schedule == cpu::Schedule::kStealing
-             ? &cpu::shared_stealing_pool()
-             : cfg.pool;
-}
-
 /// RunConfig::tile resolution: 0 keeps the legacy untiled strategies, a
 /// positive value is used as-is, -1 asks the heuristics for a model-based
 /// default for this problem/platform.
@@ -84,8 +75,7 @@ std::size_t resolve_tile(const P& p, const RunConfig& cfg) {
 template <LddpProblem P>
 SolveResult<P> solve_canonical(const P& p, Pattern pattern,
                                const RunConfig& cfg) {
-  sim::Platform platform(cfg.platform, detail::resolve_pool(cfg),
-                         cfg.buffer_pool);
+  sim::Platform platform(cfg.platform, cfg.pool, cfg.buffer_pool);
   // Lifecycle enforcement rides the Timeline: every strategy's recorded op
   // (CPU front, kernel, copy) passes through Timeline::record, so a single
   // install point gives cancellation/deadline checks at front granularity
@@ -227,8 +217,7 @@ template <LddpProblem P>
 FrontierSolveResult<P> solve_frontier_canonical(const P& p, Pattern pattern,
                                                 const RunConfig& cfg) {
   using V = typename P::Value;
-  sim::Platform platform(cfg.platform, detail::resolve_pool(cfg),
-                         cfg.buffer_pool);
+  sim::Platform platform(cfg.platform, cfg.pool, cfg.buffer_pool);
   platform.timeline().set_request_control(cfg.control);
   Mode mode = resolve_auto(cfg.mode, p.rows() * p.cols());
   if (mode == Mode::kCpuTiled) mode = Mode::kCpuParallel;

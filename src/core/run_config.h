@@ -80,18 +80,13 @@ struct RunConfig {
   /// last row). Smaller K means cheaper rematerialization and more
   /// resident memory.
   std::size_t checkpoint_interval = 0;
-  /// Optional host pool for real execution; null runs everything on the
-  /// calling thread (simulated timings are identical either way).
+  /// Optional host pool for real execution: every parallel front runs
+  /// as morsels on the pool's work-stealing executor
+  /// (&cpu::shared_stealing_pool() shares the process-wide one). Null
+  /// runs everything inline on the calling thread. The batch engine
+  /// overrides this field with its own executor. Results and simulated
+  /// timings are identical either way; only host wall-clock changes.
   cpu::ThreadPool* pool = nullptr;
-  /// CPU execution substrate for real (host) work. kStealing routes every
-  /// parallel front through the process-wide work-stealing executor
-  /// (cpu::shared_stealing_pool()), overriding `pool`; kStatic and kAuto
-  /// keep `pool` exactly as given — a null pool stays inline, so existing
-  /// configurations are byte-for-byte unchanged. The batch engine resolves
-  /// kAuto to kStealing at the engine level and overrides this field with
-  /// its own substrate decision for admitted requests. Results are
-  /// bit-identical across schedules; only host wall-clock changes.
-  cpu::Schedule schedule = cpu::Schedule::kAuto;
   /// Optional device/pinned-host buffer pool; repeated solve() calls then
   /// reuse arenas instead of re-allocating per run. Must outlive the call.
   sim::BufferPool* buffer_pool = nullptr;
@@ -111,8 +106,7 @@ struct RunConfig {
   /// Cross-solve packing eligibility when this request runs through the
   /// BatchEngine: the batch merger may fuse this solve's co-ready GPU
   /// fronts / DMA descriptors with those of co-resident solves into one
-  /// multi-tenant packed launch (and co-schedule its CPU strips on the
-  /// shared cooperative pool). -1 defers to BatchConfig::pack_solves
+  /// multi-tenant packed launch. -1 defers to BatchConfig::pack_solves
   /// (default on in batch mode), 0 opts this request out, 1 opts it in.
   /// Solo solve() ignores the flag — there is nothing to pack with.
   /// Results are bit-identical; only the merged simulated timing changes.

@@ -88,10 +88,6 @@ Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
   auto addr = [data, &idx](std::size_t i, std::size_t j) {
     return data + idx.flat(i, j);
   };
-  // Workers stay resident in the strip barrier across fronts (real
-  // execution only); the simulated pricing below remains the paper's
-  // fork/join-per-front OpenMP baseline.
-  cpu::StripSession strips(platform.pool());
   sim::Platform::CpuFrontOpts opts;
   opts.mem_amplification = mem_amplification;
   for (std::size_t f = 0; f < layout.num_fronts(); ++f) {

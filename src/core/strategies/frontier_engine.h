@@ -279,7 +279,6 @@ FrontierTable<typename P::Value> solve_frontier_parallel(
   fw.base = win.ensure(fw.w * fw.stride);
   auto addr = [&fw](std::size_t i, std::size_t j) { return fw.addr(i, j); };
 
-  cpu::StripSession strips(platform.pool());
   sim::Platform::CpuFrontOpts opts;
   opts.mem_amplification = mem_amplification;
   for (std::size_t f = 0; f < layout.num_fronts(); ++f) {
@@ -450,7 +449,6 @@ FrontierTable<typename P::Value> solve_frontier_hetero(
   const auto h2d_stream = gpu.create_stream();
   const auto d2h_stream = gpu.create_stream();
   sim::LaunchGraph graph(gpu, fuse);
-  cpu::StripSession strips(platform.pool());
   // Only the GPU share of the inputs goes up; the CPU strip reads host
   // memory directly. The strip fraction is measured in front cells.
   {

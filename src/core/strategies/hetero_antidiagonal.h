@@ -69,10 +69,8 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
   const auto h2d_stream = gpu.create_stream();
   const auto d2h_stream = gpu.create_stream();
   // Transfers are strictly CPU→GPU until phase 3, so the entire phase-2
-  // pipeline (uploads + kernels) fuses into one graph submission; workers
-  // stay resident in the strip barrier across all CPU fronts.
+  // pipeline (uploads + kernels) fuses into one graph submission.
   sim::LaunchGraph graph(gpu, fused);
-  cpu::StripSession strips(platform.pool());
   // Only the GPU strip's share of the problem input goes up (the CPU reads
   // its rows from host memory directly).
   graph.record_h2d(compute_stream,

@@ -72,7 +72,6 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
   // CPU consumes a GPU boundary every row (mid-phase host sync), which a
   // graph cannot span — exactly like a real CUDA graph.
   sim::LaunchGraph graph(gpu, fused && !gpu_to_cpu);
-  cpu::StripSession strips(platform.pool());
   // Only the GPU strip's share of the problem input goes up (the CPU reads
   // its columns from host memory directly).
   graph.record_h2d(compute_stream,

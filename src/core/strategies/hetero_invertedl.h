@@ -78,7 +78,6 @@ Grid<typename P::Value> solve_cpu_invertedl(const P& p,
   auto haddr = [&table](std::size_t i, std::size_t j) {
     return &table.at(i, j);
   };
-  cpu::StripSession strips(platform.pool());
   for (std::size_t k = 0; k < layout.num_fronts(); ++k) {
     const std::size_t fs = layout.front_size(k);
     const std::size_t col_n = layout.column_part_size(k);
@@ -233,9 +232,8 @@ Grid<typename P::Value> solve_hetero_invertedl(const P& p,
   const auto h2d_stream = gpu.create_stream();
   const auto d2h_stream = gpu.create_stream();
   // Transfers are one-way CPU→GPU throughout phase A: the whole pipeline
-  // fuses, and workers stay resident in the strip barrier across shells.
+  // fuses.
   sim::LaunchGraph graph(gpu, fused);
-  cpu::StripSession strips(platform.pool());
   // Only the GPU strip's share of the problem input goes up (the CPU reads
   // its columns from host memory directly).
   graph.record_h2d(compute_stream,

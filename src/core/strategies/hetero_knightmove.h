@@ -81,7 +81,6 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
   // the GPU's previous front mid-phase) — a graph cannot span those host
   // syncs, so fusing only applies to the unsplit (single-unit) case.
   sim::LaunchGraph graph(gpu, fused && !split);
-  cpu::StripSession strips(platform.pool());
   // Only the GPU strip's share of the problem input goes up (the CPU reads
   // its columns from host memory directly).
   graph.record_h2d(compute_stream,

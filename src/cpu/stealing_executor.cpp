@@ -22,8 +22,7 @@ inline void cpu_relax() {
 /// execution — correctness is unaffected, only parallelism.
 constexpr std::size_t kMasterSlots = 64;
 
-/// Historical spin budget (thread_pool.cpp's kStripSpinIters) — the
-/// LDDP_SPIN_US default resolves to exactly this.
+/// Default spin budget when LDDP_SPIN_US is unset.
 constexpr int kDefaultSpinIters = 4096;
 
 /// ~100 pause iterations per microsecond on contemporary x86 (a pause is
@@ -33,19 +32,13 @@ constexpr long kSpinItersPerUs = 100;
 
 std::atomic<std::uint64_t> g_next_exec_id{1};
 
-}  // namespace
-
-std::string to_string(Schedule s) {
-  switch (s) {
-    case Schedule::kStatic:
-      return "static";
-    case Schedule::kStealing:
-      return "stealing";
-    case Schedule::kAuto:
-      return "auto";
-  }
-  return "?";
+/// Grain when the caller gives no hint: ~4 morsels per executing thread,
+/// so the tail imbalance is at most a quarter-share.
+std::size_t default_grain(std::size_t total, std::size_t threads) {
+  return total / (4 * threads);
 }
+
+}  // namespace
 
 int idle_spin_iters() {
   static const int iters = [] {
@@ -83,8 +76,8 @@ StealingExecutor::~StealingExecutor() {
 
 void StealingExecutor::wake_workers() {
   // The empty critical section orders the notify against a worker that is
-  // between its predicate check and its wait (same pattern as the strip
-  // barrier); callers bump work_epoch_ first.
+  // between its predicate check and its wait; callers bump work_epoch_
+  // first.
   {
     std::lock_guard<std::mutex> lock(park_mu_);
   }
@@ -129,13 +122,13 @@ void StealingExecutor::execute_task(steal_detail::RegionCore* core,
   // Lazy binary splitting: halve at a quantum-aligned midpoint until the
   // range fits one grain, publishing upper halves for thieves. The split
   // tree — hence the morsel leaf set and every fault salt — depends only
-  // on (lo, hi, grain): a push that overflows the deque executes the
-  // upper half inline through the SAME recursion instead of changing the
-  // partition.
+  // on (lo, hi, grain, quantum): a push that overflows the deque executes
+  // the upper half inline through the SAME recursion instead of changing
+  // the partition.
+  const std::size_t q = core->quantum;
   while (hi - lo > core->grain) {
     const std::size_t half = (hi - lo) / 2;
-    const std::size_t mid =
-        lo + ((half + kMorselQuantum - 1) / kMorselQuantum) * kMorselQuantum;
+    const std::size_t mid = lo + ((half + q - 1) / q) * q;
     LDDP_DCHECK(mid > lo && mid < hi);
     if (deque != nullptr && deque->push({core, mid, hi})) {
       if (parked_.load(std::memory_order_seq_cst) != 0) {
@@ -154,8 +147,7 @@ void StealingExecutor::execute_task(steal_detail::RegionCore* core,
     // schedule replays identically under any steal interleaving.
     const fault::FaultContext& ctx = core->fault;
     if (ctx.plan != nullptr) {
-      const std::uint64_t salt =
-          (core->region_seq << 24) ^ (lo / kMorselQuantum);
+      const std::uint64_t salt = (core->region_seq << 24) ^ (lo / q);
       if (ctx.plan->should_fail(fault::Site::kStripWorker, ctx.solve,
                                 ctx.attempt, salt))
         throw fault::InjectedFault(fault::Site::kStripWorker, ctx.solve,
@@ -222,17 +214,27 @@ void StealingExecutor::parallel_region(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& body) {
   if (end <= begin) return;
-  const std::size_t total = end - begin;
   std::size_t g = grain;
-  if (g == 0) {
-    // No cost-model hint: aim for ~4 morsels per executing thread so the
-    // tail imbalance is at most a quarter-share.
-    g = total / (4 * size());
-  }
+  if (g == 0) g = default_grain(end - begin, size());
   g = std::max(g, kMinGrain);
   g = ((g + kMorselQuantum - 1) / kMorselQuantum) * kMorselQuantum;
-  // Short fronts stay a single task: no deque traffic, no fault draw —
-  // exactly the static path's single-thread behaviour at this scale.
+  run_region(begin, end, g, kMorselQuantum, body);
+}
+
+void StealingExecutor::parallel_items(
+    std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  if (end <= begin) return;
+  run_region(begin, end,
+             std::max<std::size_t>(1, default_grain(end - begin, size())),
+             1, body);
+}
+
+void StealingExecutor::run_region(
+    std::size_t begin, std::size_t end, std::size_t g, std::size_t quantum,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  const std::size_t total = end - begin;
+  // Short ranges stay a single task: no deque traffic, no fault draw.
   if (workers_.empty() || total <= g) {
     body(begin, end);
     return;
@@ -246,6 +248,7 @@ void StealingExecutor::parallel_region(
   steal_detail::RegionCore core;
   core.body = &body;
   core.grain = g;
+  core.quantum = quantum;
   core.fault = fault::snapshot();
   core.region_seq = fault::next_region_sequence();
   core.remaining.store(total, std::memory_order_seq_cst);

@@ -1,25 +1,27 @@
-// Work-stealing CPU task runtime — the demand-driven alternative to the
-// ThreadPool's OpenMP-style static worksharing.
+// Work-stealing CPU task runtime — the one host execution substrate.
 //
-// The paper's CPU side is `schedule(static)` block-per-thread chunking;
-// on the fronts this framework cares about (ragged anti-diagonal ramps,
-// tiny t_switch-region fronts, mixed-size batches) static chunks leave
-// cores idle behind the slowest block. This executor implements the
-// standard fix for irregular wavefront work: per-worker Chase–Lev deques
-// with a lock-free steal path, lazy binary splitting of each parallel
-// region ("split on steal" — short fronts stay a single task and pay no
-// scheduling overhead), and a spin-then-park idle protocol shared with
-// the strip-session barrier (LDDP_SPIN_US tunes both).
+// The paper's CPU side is OpenMP `schedule(static)` block-per-thread
+// chunking; that model survives only in the cost model (sim::Platform's
+// CpuFrontOpts). Real execution is demand-driven, because on the fronts
+// this framework cares about (ragged anti-diagonal ramps, tiny
+// t_switch-region fronts, mixed-size batches) static chunks leave cores
+// idle behind the slowest block. This executor implements the standard
+// fix for irregular wavefront work: per-worker Chase–Lev deques with a
+// lock-free steal path, lazy binary splitting of each parallel region
+// ("split on steal" — short fronts stay a single task and pay no
+// scheduling overhead), and a spin-then-park idle protocol (LDDP_SPIN_US
+// tunes it). cpu::ThreadPool is a thin handle on it.
 //
-// Determinism contract (the reason this file can replace the static path
-// without perturbing any recorded schedule or chaos replay):
-//  * Results are bit-identical to the static path: every front body this
-//    framework dispatches is chunk-boundary-insensitive (cells depend only
-//    on earlier fronts), so any partition of [begin, end) computes the
-//    same table. The executor only changes the partition.
+// Determinism contract (why real execution never perturbs a recorded
+// schedule or chaos replay):
+//  * Results are bit-identical to serial inline execution: every front
+//    body this framework dispatches is chunk-boundary-insensitive (cells
+//    depend only on earlier fronts), so any partition of [begin, end)
+//    computes the same table. The executor only changes the partition.
 //  * The morsel (leaf-task) set of a region is a pure function of
-//    (begin, end, grain): splits always halve at a 16-cell-aligned
-//    midpoint, whether the upper half is pushed, stolen, or executed
+//    (begin, end, grain, quantum): splits always halve at a
+//    quantum-aligned midpoint (16 cells for cell regions, 1 for item
+//    regions), whether the upper half is pushed, stolen, or executed
 //    inline on deque overflow. Steal interleaving decides only *who*
 //    runs a morsel, never *which* morsels exist.
 //  * Fault injection (site kStripWorker) is drawn once per morsel with a
@@ -38,7 +40,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -46,29 +47,10 @@
 
 namespace lddp::cpu {
 
-/// Which execution substrate CPU work runs on.
-///  * kStatic — the legacy ThreadPool: OpenMP-style static chunks,
-///    per-solve private pools (or one cooperative pool) in batch mode.
-///  * kStealing — the work-stealing executor: adaptive morsels, one
-///    shared executor across all in-flight solves.
-///  * kAuto — the framework default: solo solve() keeps whatever
-///    RunConfig::pool says (legacy behaviour); the batch engine resolves
-///    kAuto to kStealing.
-enum class Schedule { kStatic, kStealing, kAuto };
-
-std::string to_string(Schedule s);
-
-/// The batch-engine / executor-level resolution of kAuto (the stealing
-/// substrate). Solo solve() intentionally does NOT use this — a null-pool
-/// solo solve under kAuto stays inline, unchanged from previous releases.
-inline Schedule resolve_schedule(Schedule s) {
-  return s == Schedule::kAuto ? Schedule::kStealing : s;
-}
-
 /// Idle spin budget (in pause iterations) before a waiting worker parks
 /// on a condvar. Tunable via LDDP_SPIN_US (microseconds, ~100 pauses/us);
 /// unset keeps the historical constant (4096 iterations). Read once at
-/// first use; shared by the strip-session barrier and this executor.
+/// first use.
 int idle_spin_iters();
 
 class StealingExecutor;
@@ -177,6 +159,8 @@ class WorkDeque {
 struct RegionCore {
   const std::function<void(std::size_t, std::size_t)>* body = nullptr;
   std::size_t grain = 0;
+  /// Split alignment: kMorselQuantum for cell regions, 1 for item regions.
+  std::size_t quantum = 1;
   /// Fault salt base: the submitting solve attempt's region index (see
   /// fault::next_region_sequence) — deterministic per (solve, attempt).
   std::uint64_t region_seq = 0;
@@ -191,24 +175,24 @@ struct RegionCore {
 }  // namespace steal_detail
 
 /// The executor: `num_workers` dedicated threads plus every submitting
-/// master. Unlike ThreadPool there is no master arbitration — any number
-/// of threads may run parallel_region() concurrently (each gets its own
-/// deque slot), which is what lets one process-wide executor serve all
-/// in-flight solves of a batch: a finishing solve's workers immediately
-/// drain the deques of the solves still running.
+/// master. There is no master arbitration — any number of threads may
+/// submit regions concurrently (each gets its own deque slot), which is
+/// what lets one executor serve all in-flight solves of a batch: a
+/// finishing solve's workers immediately drain the deques of the solves
+/// still running.
 class StealingExecutor {
  public:
   /// Morsel alignment: 16 int32 cells = one 64-byte cache line, so
   /// adjacent morsels never false-share an output line.
   static constexpr std::size_t kMorselQuantum = 16;
   /// Smallest grain parallel_region will honour — below this the
-  /// per-task bookkeeping dominates the cells.
+  /// per-task bookkeeping dominates the cells. Item regions
+  /// (parallel_items) have no floor.
   static constexpr std::size_t kMinGrain = 1024;
 
   /// `num_workers` may be 0: every region then runs inline on the
   /// submitting thread (the right sizing on a saturated host — the
-  /// batch engine uses this to avoid oversubscription instead of
-  /// spinning per-solve pools against each other).
+  /// batch engine uses this to avoid oversubscription).
   explicit StealingExecutor(std::size_t num_workers);
   ~StealingExecutor();
 
@@ -231,6 +215,14 @@ class StealingExecutor {
                        const std::function<void(std::size_t, std::size_t)>&
                            body);
 
+  /// Item-granular region: like parallel_region, but each index is a
+  /// coarse unit of work (a tile), so there is no cell floor: the range
+  /// splits into about four morsels per executing thread, down to one
+  /// item per morsel.
+  void parallel_items(std::size_t begin, std::size_t end,
+                      const std::function<void(std::size_t, std::size_t)>&
+                          body);
+
  private:
   struct Slot {
     steal_detail::WorkDeque deque;
@@ -243,6 +235,11 @@ class StealingExecutor {
   /// one fault draw + one body call + the remaining-count decrement.
   void execute_task(steal_detail::RegionCore* core, std::size_t lo,
                     std::size_t hi, steal_detail::WorkDeque* deque);
+  /// Shared body of both region kinds; `grain` is final (>= 1, a multiple
+  /// of `quantum`).
+  void run_region(std::size_t begin, std::size_t end, std::size_t grain,
+                  std::size_t quantum,
+                  const std::function<void(std::size_t, std::size_t)>& body);
   bool try_acquire(std::size_t my_slot, steal_detail::Task* out);
   void wake_workers();
   /// Deque-slot index of the calling master thread, claimed on first use
@@ -265,8 +262,8 @@ class StealingExecutor {
 };
 
 /// Process-wide shared executor, sized to the hardware (hw - 1 workers):
-/// the substrate Schedule::kStealing routes solo solves through. Lazily
-/// constructed on first use.
+/// the executor behind cpu::shared_stealing_pool(). Lazily constructed
+/// on first use.
 StealingExecutor& shared_executor();
 
 /// Worker count shared_executor() is (or would be) built with — lets

@@ -1,364 +1,22 @@
 #include "cpu/thread_pool.h"
 
-#include <algorithm>
-
 namespace lddp::cpu {
 
 namespace {
 
-// One spin iteration while waiting on the strip barrier.
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
+std::size_t checked_workers(std::size_t num_threads) {
+  LDDP_CHECK_MSG(num_threads >= 1, "pool needs at least one thread");
+  return num_threads - 1;
 }
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t num_threads, bool coop_strips)
-    : coop_strips_(coop_strips) {
-  LDDP_CHECK_MSG(num_threads >= 1, "pool needs at least one thread");
-  workers_.reserve(num_threads - 1);
-  for (std::size_t w = 0; w + 1 < num_threads; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
-  }
-}
+ThreadPool::ThreadPool(std::size_t num_threads)
+    : owned_(std::make_unique<StealingExecutor>(checked_workers(num_threads))),
+      exec_(owned_.get()) {}
 
 ThreadPool::ThreadPool(StealingExecutor* exec) : exec_(exec) {
-  LDDP_CHECK_MSG(exec != nullptr, "stealing facade needs an executor");
-  // No workers of our own: strip sessions see workers_.empty() and no-op
-  // (the executor needs no persistent barrier), and every parallel region
-  // routes straight to the executor below.
-}
-
-void ThreadPool::acquire_master() {
-  std::unique_lock<std::mutex> lock(master_mu_);
-  if (master_depth_ > 0 && master_owner_ == std::this_thread::get_id()) {
-    ++master_depth_;
-    return;
-  }
-  master_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  master_cv_.wait(lock, [&] { return master_depth_ == 0; });
-  master_waiters_.fetch_sub(1, std::memory_order_seq_cst);
-  master_owner_ = std::this_thread::get_id();
-  master_depth_ = 1;
-}
-
-void ThreadPool::release_master() {
-  std::lock_guard<std::mutex> lock(master_mu_);
-  LDDP_DCHECK(master_depth_ > 0 &&
-              master_owner_ == std::this_thread::get_id());
-  if (--master_depth_ == 0) {
-    master_owner_ = std::thread::id{};
-    master_cv_.notify_one();
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-    ++region_.epoch;
-  }
-  cv_start_.notify_all();
-  for (auto& t : workers_) t.join();
-}
-
-void ThreadPool::run_chunk(const Region& region, std::size_t thread_index,
-                           std::size_t nthreads) {
-  // Static chunking identical to OpenMP schedule(static): thread k gets the
-  // k-th contiguous block, sized to balance remainders.
-  const std::size_t total = region.end - region.begin;
-  const std::size_t base = total / nthreads;
-  const std::size_t rem = total % nthreads;
-  const std::size_t lo = region.begin + thread_index * base +
-                         std::min(thread_index, rem);
-  const std::size_t hi = lo + base + (thread_index < rem ? 1 : 0);
-  if (lo < hi) (*region.body)(lo, hi);
-}
-
-void ThreadPool::worker_loop(std::size_t worker_index) {
-  std::uint64_t seen_epoch = 0;
-  for (;;) {
-    bool strips = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_start_.wait(lock, [&] {
-        return shutdown_ || region_.epoch != seen_epoch;
-      });
-      if (shutdown_) return;
-      seen_epoch = region_.epoch;
-      strips = strip_mode_;
-    }
-    if (strips) {
-      // Stay resident in the barrier until the session ends, then go back
-      // to waiting for the next fork/join epoch.
-      strip_worker_loop(worker_index + 1);
-      strip_exited_.fetch_add(1, std::memory_order_seq_cst);
-      continue;
-    }
-    // Worker index w maps to thread index w+1; the master is thread 0.
-    try {
-      run_chunk(region_, worker_index + 1, workers_.size() + 1);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      LDDP_DCHECK(pending_ > 0);
-      if (--pending_ == 0) cv_done_.notify_one();
-    }
-  }
-}
-
-void ThreadPool::maybe_fail_strip_chunk(std::size_t thread_index) const {
-  const fault::FaultContext& ctx = strip_region_.fault;
-  if (ctx.plan == nullptr) return;
-  // Salt mixes the front (epoch, set per dispatch) with the worker index,
-  // so a per-decision rate means exactly that: every (front, worker)
-  // chunk is an independent draw.
-  const std::uint64_t salt = (strip_region_.epoch << 8) ^ thread_index;
-  if (ctx.plan->should_fail(fault::Site::kStripWorker, ctx.solve,
-                            ctx.attempt, salt))
-    throw fault::InjectedFault(fault::Site::kStripWorker, ctx.solve,
-                               ctx.attempt);
-}
-
-void ThreadPool::strip_worker_loop(std::size_t thread_index) {
-  // Baseline generation captured at session entry (published under mu_ by
-  // begin_strips before the wakeup); the worker runs every generation the
-  // master issues after it exactly once.
-  std::uint64_t seen = strip_enter_gen_;
-  // Spin budget before a waiter parks (worker) or starts yielding
-  // (master): a few thousand pauses cover the skew between threads
-  // finishing their chunks of the same front; anything longer means
-  // genuine idleness. Env-tunable via LDDP_SPIN_US.
-  const int spin_budget = idle_spin_iters();
-  for (;;) {
-    // Spin-then-park until the next front (generation bump) or session end.
-    int spins = 0;
-    while (strip_gen_.load(std::memory_order_seq_cst) == seen &&
-           !strip_exit_.load(std::memory_order_seq_cst)) {
-      if (++spins < spin_budget) {
-        cpu_relax();
-      } else {
-        std::unique_lock<std::mutex> lock(strip_mu_);
-        strip_parked_.fetch_add(1, std::memory_order_seq_cst);
-        strip_cv_.wait(lock, [&] {
-          return strip_gen_.load(std::memory_order_seq_cst) != seen ||
-                 strip_exit_.load(std::memory_order_seq_cst);
-        });
-        strip_parked_.fetch_sub(1, std::memory_order_seq_cst);
-        break;
-      }
-    }
-    if (strip_gen_.load(std::memory_order_seq_cst) == seen) return;  // exit
-    seen = strip_gen_.load(std::memory_order_seq_cst);
-    try {
-      maybe_fail_strip_chunk(thread_index);
-      run_chunk(strip_region_, thread_index, workers_.size() + 1);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(strip_mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    // Unconditional: a throwing chunk must still arrive at the barrier,
-    // or the master's join spin below never completes.
-    strip_done_.fetch_add(1, std::memory_order_seq_cst);
-  }
-}
-
-void ThreadPool::begin_strips() {
-  if (workers_.empty()) return;  // single thread: everything runs inline
-  acquire_master();  // held until end_strips — the session owns the pool
-  try {
-    std::lock_guard<std::mutex> lock(mu_);
-    LDDP_CHECK_MSG(!strip_mode_, "strip sessions do not nest");
-    LDDP_CHECK_MSG(pending_ == 0,
-                   "strip session inside an active parallel region");
-    strip_mode_ = true;
-    strip_exit_.store(false, std::memory_order_seq_cst);
-    strip_exited_.store(0, std::memory_order_seq_cst);
-    strip_enter_gen_ = strip_gen_.load(std::memory_order_seq_cst);
-    first_error_ = nullptr;
-    ++region_.epoch;  // wake the workers into the barrier
-  } catch (...) {
-    // A failed usage check must give back the mastership acquired above:
-    // StripSession's constructor threw, so its destructor will never run
-    // end_strips, and a stranded master deadlocks every later driver of
-    // the pool.
-    release_master();
-    throw;
-  }
-  cv_start_.notify_all();
-}
-
-void ThreadPool::end_strips() {
-  if (workers_.empty() || !strip_mode_) return;
-  strip_exit_.store(true, std::memory_order_seq_cst);
-  {
-    std::lock_guard<std::mutex> lock(strip_mu_);
-  }
-  strip_cv_.notify_all();
-  // Workers leave the barrier quickly (they are spinning or parked, never
-  // mid-front here — dispatch joins every front before returning).
-  while (strip_exited_.load(std::memory_order_seq_cst) != workers_.size())
-    std::this_thread::yield();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    strip_mode_ = false;
-  }
-  release_master();
-}
-
-void ThreadPool::strip_dispatch(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  // Workers are quiescent between generations (the previous dispatch joined
-  // them), so the region can be published without a lock: the seq_cst
-  // generation bump below is the release point.
-  strip_region_.begin = begin;
-  strip_region_.end = end;
-  strip_region_.body = &body;
-  strip_region_.epoch += 1;  // per-dispatch salt for worker fault draws
-  strip_region_.fault = fault::snapshot();
-  strip_done_.store(0, std::memory_order_seq_cst);
-  strip_gen_.fetch_add(1, std::memory_order_seq_cst);
-  // Wake parked workers. The empty critical section orders the notify
-  // against a worker that is between its predicate check and its wait;
-  // spinning workers see the generation bump directly.
-  if (strip_parked_.load(std::memory_order_seq_cst) != 0) {
-    {
-      std::lock_guard<std::mutex> lock(strip_mu_);
-    }
-    strip_cv_.notify_all();
-  }
-  try {
-    run_chunk(strip_region_, 0, workers_.size() + 1);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(strip_mu_);
-    if (!first_error_) first_error_ = std::current_exception();
-  }
-  const int spin_budget = idle_spin_iters();
-  int spins = 0;
-  while (strip_done_.load(std::memory_order_seq_cst) != workers_.size()) {
-    if (++spins < spin_budget)
-      cpu_relax();
-    else
-      std::this_thread::yield();
-  }
-  strip_region_.body = nullptr;
-  std::exception_ptr err;
-  {
-    std::lock_guard<std::mutex> lock(strip_mu_);
-    err = first_error_;
-    first_error_ = nullptr;
-  }
-  if (err) std::rethrow_exception(err);
-}
-
-void ThreadPool::maybe_yield_strips() {
-  // The caller owns the session at master depth 1: closing and reopening
-  // it releases mastership for exactly the gap between the two calls, and
-  // acquire_master inside begin_strips then queues behind the waiters
-  // that prompted the yield. Semantically a no-op — the session state is
-  // rebuilt from scratch — so front bodies never observe the bounce.
-  if (!coop_strips_ ||
-      master_waiters_.load(std::memory_order_seq_cst) == 0)
-    return;
-  end_strips();
-  begin_strips();
-}
-
-void ThreadPool::parallel_for_chunked(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t grain) {
-  if (begin >= end) return;
-  if (exec_ != nullptr) {
-    // Stealing facade: no master arbitration — concurrent drivers submit
-    // overlapping regions and the shared executor's workers flow to
-    // whichever has morsels left.
-    exec_->parallel_region(begin, end, grain, body);
-    return;
-  }
-  if (workers_.empty()) {
-    body(begin, end);
-    return;
-  }
-  bool in_strips = false;
-  {
-    MasterGuard master(this);
-    if (strip_mode_) {
-      // Only the owning master reaches this point (mastership is held for
-      // a whole strip session), and only it toggles strip_mode_, so the
-      // unlocked read is safe.
-      strip_dispatch(begin, end, body);
-      in_strips = true;
-    } else {
-      fork_join(begin, end, body);
-    }
-  }
-  // Past the region's MasterGuard (depth back to the session's 1): the
-  // between-fronts point where a cooperative session hands the workers to
-  // a co-resident driver.
-  if (in_strips) maybe_yield_strips();
-}
-
-void ThreadPool::fork_join(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    LDDP_CHECK_MSG(pending_ == 0, "nested parallel regions are "
-                                  "not supported");
-    region_.begin = begin;
-    region_.end = end;
-    region_.body = &body;
-    ++region_.epoch;
-    pending_ = workers_.size();
-    first_error_ = nullptr;
-  }
-  cv_start_.notify_all();
-  // The master participates as thread 0 rather than idling (CP.43).
-  try {
-    run_chunk(region_, 0, workers_.size() + 1);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!first_error_) first_error_ = std::current_exception();
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [&] { return pending_ == 0; });
-    region_.body = nullptr;
-    if (first_error_) {
-      auto err = first_error_;
-      first_error_ = nullptr;
-      std::rethrow_exception(err);
-    }
-  }
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body) {
-  parallel_for_chunked(begin, end,
-                       [&](std::size_t lo, std::size_t hi) {
-                         for (std::size_t i = lo; i < hi; ++i) body(i);
-                       });
-}
-
-void ThreadPool::run_strips(
-    std::size_t num_fronts,
-    const std::function<void(std::size_t)>& front_body) {
-  StripSession session(this);
-  for (std::size_t f = 0; f < num_fronts; ++f) front_body(f);
-}
-
-ThreadPool& default_pool() {
-  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
-  return pool;
+  LDDP_CHECK_MSG(exec != nullptr, "pool needs an executor");
 }
 
 ThreadPool& shared_stealing_pool() {

@@ -1,229 +1,73 @@
-// Persistent worker pool replacing the paper's OpenMP 3.0 usage.
+// Host thread pool: a handle on the work-stealing executor.
 //
-// The paper creates "a few heavy-weight threads where each thread is
-// responsible for processing a group of cells" (Section IV-A). This pool
-// provides exactly that model: workers are created once and reused across
-// wavefront iterations (CP.41: minimize thread creation/destruction), and
-// `parallel_for` hands each worker one static chunk per call, mirroring
-// OpenMP's `schedule(static)`.
-//
-// Two dispatch mechanisms share the workers:
-//  * fork/join — the default: each parallel region wakes the workers
-//    through a condvar and joins them through another (OpenMP-style).
-//  * strip sessions — while a StripSession is active, workers stay
-//    resident in a generation-counted spin-then-park barrier and each
-//    region is one barrier round. This removes the two condvar round
-//    trips per wavefront that dominate small fronts, implementing the
-//    paper's persistent-thread model for real.
+// The paper's OpenMP fork/join and persistent-thread models differ only
+// in what a front costs, and that difference lives in the cost model
+// (CpuFrontOpts::streamed, hetero_strip_barrier_us). Real execution has
+// one substrate: the StealingExecutor's demand-driven morsels. A pool
+// either owns an executor (`ThreadPool(n)`: n - 1 workers plus the
+// caller) or borrows one (`ThreadPool(&exec)`), and forwards every
+// parallel region to it.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <memory>
 
 #include "cpu/stealing_executor.h"
 #include "util/check.h"
-#include "util/fault_injection.h"
 
 namespace lddp::cpu {
 
-/// Fixed-size pool executing fork/join style parallel regions.
-///
 /// Usage:
 ///   ThreadPool pool(6);
 ///   pool.parallel_for(0, n, [&](std::size_t i) { ... });
 ///
-/// Thread-safety: any number of threads may drive the pool; an internal
-/// master arbitration serializes them, so concurrent parallel regions —
-/// and concurrent StripSessions, which hold mastership for their whole
-/// lifetime — execute one after another rather than racing (two solves
-/// sharing default_pool() are safe, merely not parallel with each other;
-/// the batch engine gives each in-flight solve its own pool when real
-/// overlap is wanted). Within one master, regions still do not nest
-/// (matching the paper's flat OpenMP usage). Worker exceptions are
-/// captured and rethrown on the master.
+/// Any number of threads may drive one pool at once; their regions
+/// interleave on the executor's workers. Regions do not nest. Body
+/// exceptions are rethrown on the driving thread.
 class ThreadPool {
  public:
-  /// `coop_strips` enables *cooperative strip sessions*: a strip session
-  /// still owns the pool, but between fronts it checks for other threads
-  /// blocked on mastership and, if any, bounces its session (end + begin)
-  /// so a co-resident driver gets the workers for its own front. This lets
-  /// N concurrent solves time-share ONE pool at front granularity instead
-  /// of either serializing whole solves or oversubscribing the host with
-  /// N private pools — the batch engine's packed CPU co-scheduling.
-  explicit ThreadPool(std::size_t num_threads, bool coop_strips = false);
-
-  /// Facade over a work-stealing executor (Schedule::kStealing): the pool
-  /// owns no threads of its own — every parallel region routes to
-  /// `exec`'s morsel-stealing runtime, strip sessions are no-ops (the
-  /// executor needs no persistent barrier; regions from any number of
-  /// concurrent masters interleave freely), and there is no master
-  /// arbitration. Lets every existing call site — strategies, platform,
-  /// batch engine — switch substrate without code changes. `exec` must
-  /// outlive the pool.
+  /// Owns an executor of `num_threads - 1` workers (the calling thread is
+  /// the last one). Throws CheckError when `num_threads` is 0.
+  explicit ThreadPool(std::size_t num_threads);
+  /// Borrows `exec`, which must outlive the pool.
   explicit ThreadPool(StealingExecutor* exec);
-  ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const {
-    return exec_ != nullptr ? exec_->size() : workers_.size() + 1;
+  std::size_t size() const { return exec_->size(); }
+  StealingExecutor& executor() const { return *exec_; }
+
+  /// Runs body(i) for every i in [begin, end); the executor may split the
+  /// range down to single items, so each item should be coarse (a tile, a
+  /// kernel block), not a cell.
+  void parallel_for(std::size_t begin, std::size_t end,
+                    const std::function<void(std::size_t)>& body) {
+    exec_->parallel_items(begin, end, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) body(i);
+    });
   }
 
-  /// The stealing executor behind this pool, or null for a classic
-  /// static-chunking pool.
-  StealingExecutor* stealing() const { return exec_; }
-
-  /// Runs body(i) for every i in [begin, end), statically chunked across
-  /// all threads (workers + the calling thread). Blocks until every
-  /// iteration has completed. Rethrows the first worker exception.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& body);
-
-  /// Chunked variant: body(chunk_begin, chunk_end) once per chunk — lets
-  /// hot loops avoid a std::function call per cell. Inside an active strip
-  /// session this dispatches through the persistent-strip barrier. On a
-  /// stealing facade, `grain` is the adaptive morsel size in cells
-  /// (0 = executor default, typically computed by the caller from the
-  /// calibrated per-cell cost model); static pools chunk one block per
-  /// thread regardless and ignore it.
+  /// Cell-granular variant: body(lo, hi) over disjoint sub-ranges, so hot
+  /// loops avoid a std::function call per cell. `grain` is the morsel
+  /// size in cells (0 = executor default), usually derived from the
+  /// calibrated per-cell cost model (sim::Platform::front_grain).
   void parallel_for_chunked(
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t)>& body,
-      std::size_t grain = 0);
-
-  /// Persistent-strip execution: enters a strip session for the duration
-  /// of the call and runs front_body(f) for f in [0, num_fronts) in order
-  /// on the calling thread. parallel_for calls made by front_body are each
-  /// one lightweight barrier round — workers never return to the condvar
-  /// between fronts.
-  void run_strips(std::size_t num_fronts,
-                  const std::function<void(std::size_t)>& front_body);
+      std::size_t grain = 0) {
+    exec_->parallel_region(begin, end, grain, body);
+  }
 
  private:
-  friend class StripSession;
-
-  struct Region {
-    // Current parallel region, guarded by mu_ (fork/join mode) or by the
-    // strip barrier's generation protocol (strip mode).
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    const std::function<void(std::size_t, std::size_t)>* body = nullptr;
-    std::uint64_t epoch = 0;  // bumped per region; workers wait on it
-    // Master's fault context at dispatch (plan null when none): lets
-    // workers — which have no thread-local scope of their own — draw
-    // kStripWorker injection decisions for the solve the strips belong
-    // to. Published/consumed under the same protocol as `body`; the plan
-    // outlives the dispatch because the master joins every worker before
-    // its FaultScope can unwind.
-    fault::FaultContext fault;
-  };
-
-  void worker_loop(std::size_t worker_index);
-  void run_chunk(const Region& region, std::size_t thread_index,
-                 std::size_t nthreads);
-  /// Throws fault::InjectedFault when the dispatching master's fault plan
-  /// fails this worker's chunk of the current strip front (site
-  /// kStripWorker). Exercises real worker-exception propagation through
-  /// the barrier; workers only — the master's own chunk faults through
-  /// the ordinary per-solve sites.
-  void maybe_fail_strip_chunk(std::size_t thread_index) const;
-  /// Condvar fork/join region (the non-strip path of parallel_for_chunked);
-  /// caller holds mastership.
-  void fork_join(std::size_t begin, std::size_t end,
-                 const std::function<void(std::size_t, std::size_t)>& body);
-
-  // --- master arbitration ------------------------------------------------
-  // One thread owns the pool at a time; re-acquisition by the owner (a
-  // parallel region inside its own strip session) just bumps the depth.
-  void acquire_master();
-  void release_master();
-  struct MasterGuard {
-    ThreadPool* pool;
-    explicit MasterGuard(ThreadPool* p) : pool(p) { pool->acquire_master(); }
-    ~MasterGuard() { pool->release_master(); }
-    MasterGuard(const MasterGuard&) = delete;
-    MasterGuard& operator=(const MasterGuard&) = delete;
-  };
-
-  // --- strip-session machinery -------------------------------------------
-  void begin_strips();
-  void end_strips();
-  /// Between-front yield of a cooperative strip session: when another
-  /// thread waits for mastership, close and reopen the session so the
-  /// waiter's region (or whole session) runs first. Called by the session
-  /// owner at master depth 1 (no region active).
-  void maybe_yield_strips();
-  void strip_dispatch(std::size_t begin, std::size_t end,
-                      const std::function<void(std::size_t, std::size_t)>& body);
-  void strip_worker_loop(std::size_t thread_index);
-
-  std::vector<std::thread> workers_;
-  StealingExecutor* exec_ = nullptr;  // non-null: stealing facade
-  bool coop_strips_ = false;
-  std::mutex master_mu_;
-  std::condition_variable master_cv_;
-  std::thread::id master_owner_{};
-  int master_depth_ = 0;
-  std::atomic<int> master_waiters_{0};  // threads blocked in acquire_master
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  Region region_;
-  std::size_t pending_ = 0;
-  bool shutdown_ = false;
-  std::exception_ptr first_error_;
-
-  // Strip-session state. strip_mode_/strip_enter_gen_ are written by the
-  // master under mu_ and read by waking workers under mu_; the atomics
-  // carry the per-front barrier (Dekker-style handshake with seq_cst).
-  bool strip_mode_ = false;
-  std::uint64_t strip_enter_gen_ = 0;
-  Region strip_region_;
-  std::atomic<std::uint64_t> strip_gen_{0};
-  std::atomic<std::size_t> strip_done_{0};
-  std::atomic<std::size_t> strip_parked_{0};
-  std::atomic<std::size_t> strip_exited_{0};
-  std::atomic<bool> strip_exit_{false};
-  std::mutex strip_mu_;
-  std::condition_variable strip_cv_;
+  std::unique_ptr<StealingExecutor> owned_;
+  StealingExecutor* exec_;
 };
 
-/// RAII strip session: while alive, every parallel region on the pool
-/// dispatches through the persistent-strip barrier instead of a full
-/// condvar fork/join. Null and single-threaded pools are a no-op; sessions
-/// do not nest on one thread. Construction takes pool mastership (blocking
-/// while another thread holds a session or region on the same pool) and
-/// destruction releases it, so concurrent sessions serialize safely.
-class StripSession {
- public:
-  explicit StripSession(ThreadPool* pool) : pool_(pool) {
-    if (pool_) pool_->begin_strips();
-  }
-  ~StripSession() {
-    if (pool_) pool_->end_strips();
-  }
-  StripSession(const StripSession&) = delete;
-  StripSession& operator=(const StripSession&) = delete;
-
- private:
-  ThreadPool* pool_;
-};
-
-/// Process-wide default pool sized to the hardware. Lazily constructed;
-/// intended for examples and tests that don't care about explicit sizing.
-ThreadPool& default_pool();
-
-/// Process-wide stealing facade over cpu::shared_executor() — the pool
-/// RunConfig{schedule = Schedule::kStealing} routes solo solves through.
-/// Safe to share across concurrent solves: the executor has no master
-/// arbitration, so their regions genuinely overlap. Lazily constructed.
+/// Process-wide pool over cpu::shared_executor(), for solo solves that
+/// want real parallelism (RunConfig::pool). Safe to share across
+/// concurrent solves. Lazily constructed.
 ThreadPool& shared_stealing_pool();
 
 }  // namespace lddp::cpu

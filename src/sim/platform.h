@@ -157,13 +157,11 @@ class Platform {
   /// enough morsels to rebalance a ragged wavefront.
   static constexpr double kMorselTargetSeconds = 8e-6;
 
-  /// Adaptive morsel size for the stealing substrate, from the calibrated
-  /// per-cell cost model: the cell count this CPU retires in one morsel
-  /// target interval under this work profile. Static pools ignore the
-  /// hint, so computing it is only worth a branch on the stealing path.
+  /// Adaptive morsel size from the calibrated per-cell cost model: the
+  /// cell count this CPU retires in one morsel target interval under this
+  /// work profile (the executor floors it at kMinGrain).
   std::size_t front_grain(const cpu::WorkProfile& work,
                           const CpuFrontOpts& opts) const {
-    if (pool_ == nullptr || pool_->stealing() == nullptr) return 0;
     // cpu_peak_throughput is full-occupancy; a morsel runs on ONE thread,
     // so size it from the per-core rate.
     const double rate = cpu::cpu_peak_throughput(spec_.cpu, work,

@@ -35,7 +35,7 @@ enum class Site : std::uint8_t {
   kTransferD2H,      ///< Device D2H copy submission
   kKernelLaunch,     ///< Device / LaunchGraph kernel launch
   kGraphReplay,      ///< LaunchGraph::replay fused submission
-  kStripWorker,      ///< ThreadPool strip-session worker chunk
+  kStripWorker,      ///< executor morsel of a parallel CPU region
   kLaneKernel,       ///< lane-cohort lockstep row
   kRematerialize,    ///< FrontierTable checkpoint-band rematerialization
 };
@@ -215,7 +215,7 @@ inline const FaultContext* current() {
 }
 
 /// Copy of this thread's context (plan null when none) — for publishing
-/// the context across threads (the strip barrier hands it to workers).
+/// the context across threads (the executor hands it to its workers).
 inline FaultContext snapshot() { return detail::context(); }
 
 /// RAII installation of a fault context on the current thread. Nests:

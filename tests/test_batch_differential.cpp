@@ -165,8 +165,8 @@ TEST(BatchDifferential, Concurrency1) {
 }
 
 TEST(BatchDifferential, Concurrency4) {
-  // threads_per_solve 2 with packing on: every slot's strip sessions
-  // time-share the one cooperative pool.
+  // threads_per_solve 2 with packing on: every slot's fronts run on the
+  // engine's one executor.
   run_level(4, 72, BatchSched::kSjf, sim::PlatformSpec::hetero_low(),
             /*threads_per_solve=*/2, /*seed_stream=*/2);
 }
@@ -183,7 +183,7 @@ TEST(BatchDifferential, Concurrency1Unpacked) {
 }
 
 TEST(BatchDifferential, Concurrency4Unpacked) {
-  // Packing off restores the per-slot private pools.
+  // Packing off, fronts still on the engine's one executor.
   run_level(4, 48, BatchSched::kSjf, sim::PlatformSpec::hetero_high(),
             /*threads_per_solve=*/2, /*seed_stream=*/5,
             /*pack_solves=*/false);

@@ -449,14 +449,15 @@ TEST(BatchLifecycle, NoRetriesMeansStructuredFailure) {
   EXPECT_THROW(f2->get(), fault::InjectedFault);
 }
 
-/// Strip-worker injection: a multi-threaded CPU solve whose strip chunks
-/// fault must propagate the worker exception, retry down the ladder, and
-/// still produce bit-identical results.
+/// Strip-worker injection: a multi-threaded CPU solve on the engine's
+/// executor, armed at the per-morsel kStripWorker site, must propagate any
+/// worker exception, retry down the ladder, and still produce
+/// bit-identical results.
 TEST(BatchLifecycle, StripWorkerFaultsRetryCleanly) {
   BatchConfig bc;
   bc.worker_threads = 0;
   bc.threads_per_solve = 4;
-  bc.pack_solves = false;  // private per-slot pool => strip sessions
+  bc.pack_solves = false;
   bc.max_retries = 2;
   bc.chaos = FaultPlan{};
   bc.chaos.seed = 77;

@@ -139,12 +139,13 @@ void check_modes(const P& p, Eq eq) {
   const auto ref = solve(p, ref_cfg).table;
   for (Mode mode : {Mode::kCpuParallel, Mode::kGpu, Mode::kHeterogeneous}) {
     for (bool batch : {true, false}) {
-      for (cpu::Schedule sched :
-           {cpu::Schedule::kAuto, cpu::Schedule::kStealing}) {
+      for (cpu::ThreadPool* pool :
+           {static_cast<cpu::ThreadPool*>(nullptr),
+            &cpu::shared_stealing_pool()}) {
         RunConfig cfg;
         cfg.mode = mode;
         cfg.batch_kernels = batch;
-        cfg.schedule = sched;
+        cfg.pool = pool;
         const auto r = solve(p, cfg);
         EXPECT_TRUE(eq(r.table, ref))
             << p.rows() << "x" << p.cols() << " " << to_string(mode)
@@ -196,7 +197,7 @@ TEST(FrontMajorSolveTest, WideFrontsOnTheStealingExecutorMatchSerial) {
   for (Mode mode : {Mode::kGpu, Mode::kHeterogeneous}) {
     RunConfig cfg;
     cfg.mode = mode;
-    cfg.schedule = cpu::Schedule::kStealing;
+    cfg.pool = &cpu::shared_stealing_pool();
     EXPECT_TRUE(solve(p, cfg).table == ref) << to_string(mode);
   }
 }

@@ -1,7 +1,7 @@
 // Cross-solve wavefront packing: PackedKernel segment pricing, pack-window
 // formation and dependency preservation in the TimelineMerger, completion
-// draining, deterministic replay across real worker counts, the
-// cooperative strip pool, and the cross-solve tuner cache.
+// draining, deterministic replay across real worker counts, packed
+// batches on the engine's executor, and the cross-solve tuner cache.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -319,7 +319,7 @@ TEST(PackScheduler, PackedResultsBitIdenticalToSerial) {
   BatchConfig bc;
   bc.concurrency = 4;
   bc.worker_threads = 4;
-  bc.threads_per_solve = 4;  // coop pool: slots share one strip master
+  bc.threads_per_solve = 4;  // slots share the engine's executor
   const EngineRun run = run_mix(bc, 12, /*pack_override=*/-1);
   EXPECT_GT(run.report.packs, 0u);
   for (std::size_t k = 0; k < run.tables.size(); ++k) {

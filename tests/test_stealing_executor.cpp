@@ -1,11 +1,11 @@
 // Unit + differential tests for the work-stealing executor
 // (cpu/stealing_executor.h): Chase–Lev deque properties under concurrent
 // theft, exact-coverage and exception routing of parallel_region, the
-// determinism contract (bit-identity to the static substrate across all
+// determinism contract (bit-identity to the serial reference across all
 // 15 contributing sets, simulated makespans invariant across worker
 // counts, per-morsel chaos draws invariant across worker counts and
-// steal interleavings), and the batch engine running whole suites on the
-// shared executor (schedule = kStealing).
+// steal interleavings), and the batch engine running whole suites on its
+// shared executor.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -166,6 +166,21 @@ TEST(StealingExecutor, ShortRegionStaysSingleTask) {
                          calls.fetch_add(1);
                        });
   EXPECT_EQ(calls.load(), 1);
+}
+
+/// Item regions (tile loops) have no cell floor: on an executor with
+/// workers, an 8-item region splits into exactly 8 single-item morsels.
+TEST(StealingExecutor, ItemRegionSplitsToSingleItems) {
+  StealingExecutor exec(3);
+  std::vector<std::atomic<int>> calls(8);
+  std::atomic<int> morsels{0};
+  exec.parallel_items(0, 8, [&](std::size_t lo, std::size_t hi) {
+    EXPECT_EQ(hi, lo + 1);
+    calls[lo].fetch_add(1);
+    morsels.fetch_add(1);
+  });
+  EXPECT_EQ(morsels.load(), 8);
+  for (auto& c : calls) EXPECT_EQ(c.load(), 1);
 }
 
 TEST(StealingExecutor, RethrowsFirstBodyException) {
@@ -330,7 +345,7 @@ TEST(StealingDifferential, BitIdenticalAcrossAllContributingSets) {
       const auto expected = solve(p, serial).table;
       RunConfig stealing;
       stealing.mode = Mode::kCpuParallel;
-      stealing.schedule = cpu::Schedule::kStealing;
+      stealing.pool = &cpu::shared_stealing_pool();
       EXPECT_EQ(solve(p, stealing).table, expected)
           << "deps bits " << int(bits) << " shape " << rows << "x" << cols;
     }
@@ -348,7 +363,7 @@ TEST(StealingDifferential, HeterogeneousModeBitIdentical) {
     RunConfig stealing;
     stealing.mode = Mode::kHeterogeneous;
     stealing.tile = 8;
-    stealing.schedule = cpu::Schedule::kStealing;
+    stealing.pool = &cpu::shared_stealing_pool();
     EXPECT_EQ(solve(p, stealing).table, expected) << "deps bits "
                                                   << int(bits);
   }
@@ -366,23 +381,21 @@ TEST(StealingDifferential, MakespanInvariantAcrossWorkerCounts) {
   ASSERT_GT(base.sim_seconds, 0.0);
   for (const std::size_t workers : {0u, 3u, 15u}) {
     StealingExecutor exec(workers);
-    cpu::ThreadPool facade(&exec);
+    cpu::ThreadPool pool(&exec);
     RunConfig cfg;
     cfg.mode = Mode::kCpuParallel;
-    cfg.schedule = cpu::Schedule::kStatic;  // use the facade verbatim
-    cfg.pool = &facade;
+    cfg.pool = &pool;
     const SolveStats stats = solve(p, cfg).stats;
     EXPECT_EQ(stats.sim_seconds, base.sim_seconds) << workers << " workers";
     EXPECT_EQ(stats.fronts, base.fronts) << workers << " workers";
   }
 }
 
-/// The batch engine on the stealing substrate (schedule = kStealing, the
-/// kAuto default resolves to the same): all 15 sets bit-identical to
-/// solo serial, plus one big-front solve that actually dispatches.
+/// The batch engine on its executor (threads_per_solve > 1): all 15
+/// sets bit-identical to solo serial, plus one big-front solve that
+/// actually dispatches.
 TEST(StealingBatch, DifferentialAcrossAllContributingSets) {
   BatchConfig bc;
-  bc.schedule = cpu::Schedule::kStealing;
   bc.threads_per_solve = 2;
   bc.worker_threads = 2;
   BatchEngine engine(bc);
@@ -416,16 +429,6 @@ TEST(StealingConfig, IdleSpinBudgetIsPositive) {
   // LDDP_SPIN_US is read once per process; unset (the test environment)
   // must resolve to the historical 4096-iteration constant.
   EXPECT_GT(cpu::idle_spin_iters(), 0);
-}
-
-TEST(StealingConfig, ScheduleNamesRoundTrip) {
-  EXPECT_EQ(cpu::to_string(cpu::Schedule::kStatic), "static");
-  EXPECT_EQ(cpu::to_string(cpu::Schedule::kStealing), "stealing");
-  EXPECT_EQ(cpu::to_string(cpu::Schedule::kAuto), "auto");
-  EXPECT_EQ(cpu::resolve_schedule(cpu::Schedule::kAuto),
-            cpu::Schedule::kStealing);
-  EXPECT_EQ(cpu::resolve_schedule(cpu::Schedule::kStatic),
-            cpu::Schedule::kStatic);
 }
 
 }  // namespace

@@ -65,17 +65,9 @@ constexpr const char* kUsage = R"(usage: lddp_cli [flags]
                    runs of each front in one SIMD call over packed
                    neighbour spans (default on; results are bit-identical,
                    off restores the scalar per-cell path exactly)
-  --schedule S     CPU execution substrate: static | stealing | auto.
-                   stealing routes host fronts through the process-wide
-                   work-stealing executor (adaptive morsel chunking); for
-                   --batch the engine then owns ONE shared executor across
-                   all slots instead of per-solve pools. static keeps the
-                   legacy fork/join pools; auto (default) = legacy solo,
-                   stealing for --batch. Results are bit-identical
   --pack on|off    cross-solve packing for --batch: fuse co-ready GPU
                    fronts of in-flight solves into shared packed launches
-                   and co-schedule their CPU strips on one cooperative
-                   pool (default on; results are bit-identical)
+                   (default on; results are bit-identical)
   --lane-pack on|off|N
                    inter-solve SIMD lane packing for --batch: execute
                    cohorts of same-class small CPU solves in vector
@@ -421,25 +413,15 @@ int main(int argc, char** argv) try {
     cfg.tile = flags.get_int("tile", 0);
   }
   cfg.trace_path = flags.get("trace", "");
+  // Solo solves run their host fronts on the process-wide work-stealing
+  // executor; --batch requests use the engine's own.
+  cfg.pool = &cpu::shared_stealing_pool();
   {
     const std::string bk = flags.get("batch-kernels", "");
     if (!bk.empty()) {
       LDDP_CHECK_MSG(bk == "on" || bk == "off",
                      "--batch-kernels must be on or off, got '" << bk << "'");
       cfg.batch_kernels = bk == "on";
-    }
-  }
-  {
-    const std::string sch = flags.get("schedule", "");
-    if (!sch.empty()) {
-      LDDP_CHECK_MSG(sch == "static" || sch == "stealing" || sch == "auto",
-                     "--schedule must be static, stealing or auto, got '"
-                         << sch << "'");
-      const cpu::Schedule s = sch == "static"     ? cpu::Schedule::kStatic
-                              : sch == "stealing" ? cpu::Schedule::kStealing
-                                                  : cpu::Schedule::kAuto;
-      cfg.schedule = s;
-      g_batch_cfg.schedule = s;
     }
   }
   const bool tune_first = flags.get_bool("tune");
