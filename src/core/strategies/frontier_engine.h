@@ -6,9 +6,11 @@
 // the only rows that survive the solve are the checkpoint rows i % K == 0
 // plus the last row. Consumers that need interior cells — tracebacks,
 // best-score scans — go through the table's rematerialization callback
-// (attach_row_remat), which re-runs the problem's own row recurrence over
-// one K-row band; results are bit-identical to the full-table strategies
-// because every cell value is a pure function of its neighbours.
+// (attach_row_remat), which re-runs the problem's own recurrence over one
+// K-row band — row by row, or, for W-dependent problems with a batch hook,
+// front by front over a front-major band; results are bit-identical to
+// the full-table strategies because every cell value is a pure function
+// of its neighbours.
 //
 // Engines:
 //   * solve_frontier_serial   — row-streaming scan; works for every
@@ -32,6 +34,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
@@ -169,31 +172,100 @@ std::size_t harvest_front(FrontierTable<V>& t, const Layout& layout,
   return harvested;
 }
 
-/// Installs the row-recurrence rematerialization callback on a frontier
-/// table. `holder` is copied into the callback and must yield the problem
-/// (in the table's canonical orientation) on call — a lambda returning
-/// `*p` for a caller-owned problem, or owning a cheap symmetry adapter /
-/// shared_ptr by value. Rows chain from the band's upper checkpoint with
-/// the same run_row used by the serial strategy, so rematerialized cells
-/// are bit-identical to the original sweep.
+/// Row-offset view of a problem for band rematerialization: the front
+/// runner addresses band-local rows (row 0 = grid row `row0`, the band's
+/// checkpoint), while f and the batch hook see grid rows.
+template <LddpProblem P>
+class BandRowsProblem {
+ public:
+  using Value = typename P::Value;
+
+  BandRowsProblem(const P& p, std::size_t row0) : p_(&p), row0_(row0) {}
+
+  std::size_t rows() const { return p_->rows() - row0_; }
+  std::size_t cols() const { return p_->cols(); }
+  ContributingSet deps() const { return p_->deps(); }
+  Value boundary() const { return p_->boundary(); }
+  Value compute(std::size_t i, std::size_t j,
+                const Neighbors<Value>& nb) const {
+    return p_->compute(row0_ + i, j, nb);
+  }
+  bool compute_front(const FrontSpan<Value>& s) const
+    requires BatchFrontProblem<P>
+  {
+    FrontSpan<Value> g = s;
+    g.i0 += row0_;
+    return p_->compute_front(g);
+  }
+
+ private:
+  const P* p_;
+  std::size_t row0_;
+};
+
+/// Rematerializes a band as the anti-diagonal fronts of front-major
+/// storage `out` over `fronts` (row 0 = the checkpoint row `prev`, grid
+/// row row_lo - 1). A W dependency makes each row sequential, but the
+/// cells of an anti-diagonal are independent: with NE excluded, every
+/// neighbour of front f lies on front f - 1 or f - 2, so run_front_range
+/// hands each front's interior to compute_front as stride-one spans. Each
+/// cell gets the same f and the same neighbour values as the row
+/// recurrence, so the band is bit-identical to run_row's.
+template <LddpProblem P>
+void remat_band_fronts(const P& p, ContributingSet deps,
+                       typename P::Value bound, std::size_t row_lo,
+                       const typename P::Value* prev, typename P::Value* out,
+                       const AntiDiagonalLayout& fronts) {
+  const std::size_t width = fronts.cols();
+  // Cell (0, j) is position 0 of front j.
+  for (std::size_t j = 0; j < width; ++j)
+    out[fronts.front_offset(j)] = prev[j];
+  const BandRowsProblem<P> band(p, row_lo - 1);
+  auto addr = [out, &fronts](std::size_t i, std::size_t j) {
+    return out + fronts.flat(i, j);
+  };
+  for (std::size_t f = 1; f < fronts.num_fronts(); ++f)
+    run_front_range(band, deps, bound, fronts, f, f < width ? 1 : 0,
+                    fronts.front_size(f), addr, /*batch=*/true);
+}
+
+/// Installs the rematerialization callback on a frontier table. `holder`
+/// is copied into the callback and must yield the problem (in the table's
+/// canonical orientation) on call — a lambda returning `*p` for a
+/// caller-owned problem, or owning a cheap symmetry adapter / shared_ptr
+/// by value. Bands chain from their upper checkpoint. W-dependent, NE-free
+/// problems with the batch hook rematerialize front-major
+/// (remat_band_fronts) when `batch` is set; every other set — NE, W-free
+/// (whose rows already take the hook), `batch` off — runs the same
+/// run_row as the serial strategy. Rematerialized cells are bit-identical
+/// to the original sweep either way.
 template <typename V, typename Holder>
 void attach_row_remat(FrontierTable<V>& t, Holder holder, bool batch) {
+  using P = std::remove_cvref_t<decltype(holder())>;
   const ContributingSet deps = holder().deps();
   const V bound = holder().boundary();
+  const bool front_major =
+      has_batch_front_v<P> && batch && deps.has_w() && !deps.has_ne();
   t.set_remat(
       [holder = std::move(holder), deps, bound, batch](
           std::size_t row_lo, std::size_t row_hi, std::size_t width,
-          const V* prev, V* out, std::size_t stride) {
+          const V* prev, V* out, const AntiDiagonalLayout* fronts) {
         const auto& p = holder();
+        if constexpr (has_batch_front_v<P>) {
+          if (fronts != nullptr) {
+            remat_band_fronts(p, deps, bound, row_lo, prev, out, *fronts);
+            return;
+          }
+        }
         for (std::size_t i = row_lo; i < row_hi; ++i) {
-          V* row = out + (i - row_lo) * stride;
+          V* row = out + (i - row_lo) * width;
           // cols = width clamps NE reads at the pruning edge to `bound`;
           // the table's erosion accounting never serves those cells.
           run_row(p, deps, bound, i, 0, width, width, prev, row, batch);
           prev = row;
         }
       },
-      deps.has_ne());
+      deps.has_ne(), front_major);
 }
 
 /// Fills the frontier-specific stats fields.

@@ -9,9 +9,11 @@
 #include <string>
 #include <vector>
 
+#include "core/front_span.h"
 #include "core/problem.h"
 #include "tables/grid.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace lddp::problems {
 
@@ -20,6 +22,58 @@ struct AlignmentScores {
   std::int32_t mismatch = -1;
   std::int32_t gap = -2;
 };
+
+namespace alignment_detail {
+
+/// One linear-gap cell: the best of the diagonal move (match or mismatch),
+/// the vertical and the horizontal gap; Smith–Waterman (kLocal) also
+/// clamps at zero.
+template <bool kLocal>
+std::int32_t linear_gap_cell(const AlignmentScores& s, bool eq,
+                             std::int32_t w, std::int32_t nw,
+                             std::int32_t n) {
+  const std::int32_t diag = nw + (eq ? s.match : s.mismatch);
+  const std::int32_t best = std::max(diag, std::max(n + s.gap, w + s.gap));
+  return kLocal ? std::max<std::int32_t>(0, best) : best;
+}
+
+/// Batch-front kernel shared by both linear-gap alignments, for
+/// anti-diagonal spans (lane k is cell (i0+k, j0-k)): 4 lanes per step,
+/// the substitution score a blend on the packed byte compare (a
+/// ascending, b descending along the diagonal). add/max are exact on
+/// int32, so every lane equals linear_gap_cell. Other span shapes (the W
+/// dependency is sequential along rows) fall back to scalar.
+template <bool kLocal>
+bool linear_gap_front(const std::string& a, const std::string& b,
+                      const AlignmentScores& sc,
+                      const FrontSpan<std::int32_t>& s) {
+  if (s.lanes != 1) return false;  // interleaved spans: lane kernels
+  if (s.di != 1 || s.dj != -1) return false;
+  const char* const pa = a.data() + (s.i0 - 1);
+  const char* const pb = b.data() + (s.j0 - 1);
+  const simd::I32x4 match = simd::I32x4::broadcast(sc.match);
+  const simd::I32x4 mismatch = simd::I32x4::broadcast(sc.mismatch);
+  const simd::I32x4 gap = simd::I32x4::broadcast(sc.gap);
+  std::size_t k = 0;
+  for (; k + 4 <= s.len; k += 4) {
+    const simd::I32x4 eq =
+        simd::byte_eq_mask(simd::load4(pa + k), simd::load4_reversed(pb - k));
+    const simd::I32x4 diag = simd::add(simd::I32x4::load(s.nw + k),
+                                       simd::blend(eq, match, mismatch));
+    const simd::I32x4 up = simd::add(simd::I32x4::load(s.n + k), gap);
+    const simd::I32x4 left = simd::add(simd::I32x4::load(s.w + k), gap);
+    simd::I32x4 best = simd::max(diag, simd::max(up, left));
+    if constexpr (kLocal) best = simd::max(simd::I32x4::broadcast(0), best);
+    best.store(s.out + k);
+  }
+  for (; k < s.len; ++k)
+    s.out[k] = linear_gap_cell<kLocal>(
+        sc, pa[k] == pb[-static_cast<std::ptrdiff_t>(k)], s.w[k], s.nw[k],
+        s.n[k]);
+  return true;
+}
+
+}  // namespace alignment_detail
 
 /// Global alignment with linear gap cost. deps {W, NW, N} — anti-diagonal.
 class NeedlemanWunschProblem {
@@ -41,11 +95,13 @@ class NeedlemanWunschProblem {
                 const Neighbors<Value>& nb) const {
     if (i == 0) return static_cast<Value>(j) * s_.gap;
     if (j == 0) return static_cast<Value>(i) * s_.gap;
-    const Value diag =
-        nb.nw + (a_[i - 1] == b_[j - 1] ? s_.match : s_.mismatch);
-    const Value up = nb.n + s_.gap;
-    const Value left = nb.w + s_.gap;
-    return std::max(diag, std::max(up, left));
+    return alignment_detail::linear_gap_cell<false>(
+        s_, a_[i - 1] == b_[j - 1], nb.w, nb.nw, nb.n);
+  }
+
+  /// Batch-front hook: the SIMD anti-diagonal kernel above.
+  bool compute_front(const FrontSpan<Value>& s) const {
+    return alignment_detail::linear_gap_front<false>(a_, b_, s_, s);
   }
 
   cpu::WorkProfile work() const { return cpu::WorkProfile{16.0, 60.0, 20.0}; }
@@ -79,11 +135,13 @@ class SmithWatermanProblem {
   Value compute(std::size_t i, std::size_t j,
                 const Neighbors<Value>& nb) const {
     if (i == 0 || j == 0) return 0;
-    const Value diag =
-        nb.nw + (a_[i - 1] == b_[j - 1] ? s_.match : s_.mismatch);
-    const Value up = nb.n + s_.gap;
-    const Value left = nb.w + s_.gap;
-    return std::max<Value>(0, std::max(diag, std::max(up, left)));
+    return alignment_detail::linear_gap_cell<true>(
+        s_, a_[i - 1] == b_[j - 1], nb.w, nb.nw, nb.n);
+  }
+
+  /// Batch-front hook: the SIMD anti-diagonal kernel, clamped at zero.
+  bool compute_front(const FrontSpan<Value>& s) const {
+    return alignment_detail::linear_gap_front<true>(a_, b_, s_, s);
   }
 
   cpu::WorkProfile work() const { return cpu::WorkProfile{18.0, 64.0, 20.0}; }
@@ -156,15 +214,20 @@ std::int32_t sw_best_score(const Table& t) {
 template <typename Table>
 Alignment sw_traceback(const SmithWatermanProblem& p, const Table& t) {
   const AlignmentScores& s = p.scores();
+  // First maximum in ascending scan order. The running best is held by
+  // value: re-reading (bi, bj) would make a FrontierTable swap bands on
+  // every cell.
   std::size_t bi = 0, bj = 0;
+  std::int32_t best = t.at(0, 0);
   for (std::size_t i = 0; i < t.rows(); ++i)
     for (std::size_t j = 0; j < t.cols(); ++j)
-      if (t.at(i, j) > t.at(bi, bj)) {
+      if (const std::int32_t v = t.at(i, j); v > best) {
+        best = v;
         bi = i;
         bj = j;
       }
   Alignment out;
-  out.score = t.at(bi, bj);
+  out.score = best;
   std::size_t i = bi, j = bj;
   while (i > 0 && j > 0 && t.at(i, j) > 0) {
     // Values are read fresh each step (by value): a FrontierTable may

@@ -21,6 +21,7 @@
 #include "core/problem.h"
 #include "tables/grid.h"
 #include "util/check.h"
+#include "util/simd.h"
 
 namespace lddp::problems {
 
@@ -43,6 +44,9 @@ struct GotohCell {
   bool operator==(const GotohCell&) const = default;
 };
 static_assert(std::is_trivially_copyable_v<GotohCell>);
+// The batch kernel reads and writes cells as 3 packed int32 fields.
+static_assert(sizeof(GotohCell) == 3 * sizeof(std::int32_t) &&
+              std::is_standard_layout_v<GotohCell>);
 
 class GotohProblem {
  public:
@@ -83,37 +87,48 @@ class GotohProblem {
             static_cast<std::int32_t>(i - 1) * s_.gap_extend;
       return c;
     }
-    const std::int32_t sub =
-        a_[i - 1] == b_[j - 1] ? s_.match : s_.mismatch;
-    c.m = nb.nw.best() + sub;
-    c.x = std::max(std::max(nb.w.m, nb.w.y) + s_.gap_open,
-                   nb.w.x + s_.gap_extend);
-    c.y = std::max(std::max(nb.n.m, nb.n.x) + s_.gap_open,
-                   nb.n.y + s_.gap_extend);
-    return c;
+    return interior(a_[i - 1] == b_[j - 1], nb.w, nb.nw, nb.n);
   }
 
-  /// Batch-front hook for anti-diagonal spans: a branchless lane loop
-  /// over the three packed GotohCell spans (the 12-byte struct value rules
-  /// out lane-parallel SIMD, but the hoisted edge handling and dense
-  /// sequential reads still beat the per-cell path).
+  /// Batch-front hook for anti-diagonal spans (lane k is cell (i0+k,
+  /// j0-k)), 4 cells per step. Each neighbour span is 3 loads of packed
+  /// GotohCells, shuffled into one register per state (m, x, y); the states
+  /// are computed with add/max (exact on int32, so every lane equals the
+  /// scalar `compute`) and interleaved back into 3 stores. A scalar tail
+  /// finishes the last 1-3 cells. Other span shapes (the W dependency is
+  /// sequential along rows) fall back to scalar.
   bool compute_front(const FrontSpan<Value>& s) const {
     if (s.lanes != 1) return false;  // interleaved spans: lane kernels
     if (s.di != 1 || s.dj != -1) return false;
     const char* const pa = a_.data() + (s.i0 - 1);
     const char* const pb = b_.data() + (s.j0 - 1);
-    for (std::size_t k = 0; k < s.len; ++k) {
-      const std::int32_t sub =
-          pa[k] == pb[-static_cast<std::ptrdiff_t>(k)] ? s_.match
-                                                       : s_.mismatch;
-      GotohCell c;
-      c.m = s.nw[k].best() + sub;
-      c.x = std::max(std::max(s.w[k].m, s.w[k].y) + s_.gap_open,
-                     s.w[k].x + s_.gap_extend);
-      c.y = std::max(std::max(s.n[k].m, s.n[k].x) + s_.gap_open,
-                     s.n[k].y + s_.gap_extend);
-      s.out[k] = c;
+    const simd::I32x4 match = simd::I32x4::broadcast(s_.match);
+    const simd::I32x4 mismatch = simd::I32x4::broadcast(s_.mismatch);
+    const simd::I32x4 open = simd::I32x4::broadcast(s_.gap_open);
+    const simd::I32x4 extend = simd::I32x4::broadcast(s_.gap_extend);
+    auto fields = [](const GotohCell* c) {
+      return reinterpret_cast<const std::int32_t*>(c);
+    };
+    std::size_t k = 0;
+    for (; k + 4 <= s.len; k += 4) {
+      simd::I32x4 wm, wx, wy, dm, dx, dy, nm, nx, ny;
+      simd::load3_deinterleave(fields(s.w + k), wm, wx, wy);
+      simd::load3_deinterleave(fields(s.nw + k), dm, dx, dy);
+      simd::load3_deinterleave(fields(s.n + k), nm, nx, ny);
+      const simd::I32x4 eq =
+          simd::byte_eq_mask(simd::load4(pa + k), simd::load4_reversed(pb - k));
+      const simd::I32x4 m = simd::add(simd::max(dm, simd::max(dx, dy)),
+                                      simd::blend(eq, match, mismatch));
+      const simd::I32x4 x = simd::max(simd::add(simd::max(wm, wy), open),
+                                      simd::add(wx, extend));
+      const simd::I32x4 y = simd::max(simd::add(simd::max(nm, nx), open),
+                                      simd::add(ny, extend));
+      simd::store3_interleave(reinterpret_cast<std::int32_t*>(s.out + k), m,
+                              x, y);
     }
+    for (; k < s.len; ++k)
+      s.out[k] = interior(pa[k] == pb[-static_cast<std::ptrdiff_t>(k)],
+                          s.w[k], s.nw[k], s.n[k]);
     return true;
   }
 
@@ -126,6 +141,16 @@ class GotohProblem {
   const AffineScores& scores() const { return s_; }
 
  private:
+  /// The three-state update of an interior cell.
+  GotohCell interior(bool eq, const GotohCell& w, const GotohCell& nw,
+                     const GotohCell& n) const {
+    GotohCell c;
+    c.m = nw.best() + (eq ? s_.match : s_.mismatch);
+    c.x = std::max(std::max(w.m, w.y) + s_.gap_open, w.x + s_.gap_extend);
+    c.y = std::max(std::max(n.m, n.x) + s_.gap_open, n.y + s_.gap_extend);
+    return c;
+  }
+
   std::string a_, b_;
   AffineScores s_;
 };

@@ -5,9 +5,16 @@
 // answers of every bundled problem live) and rematerializes the K-row
 // band between two checkpoints on demand when a consumer — a traceback,
 // a best-score scan — reads an interior cell. The remat callback re-runs
-// the problem's own row recurrence from the band's upper checkpoint, so
-// every served value is bit-identical to the full-table solve; transient
-// memory is one band of scratch, O(K x width), instead of O(rows x cols).
+// the problem's own recurrence from the band's upper checkpoint, so every
+// served value is bit-identical to the full-table solve; transient memory
+// is one band of scratch, O(K x width), instead of O(rows x cols).
+//
+// The band scratch holds the band in one of two orders, chosen when the
+// callback is attached: row-major (row i at (i - band_lo) * width), or
+// front-major — the anti-diagonal fronts of the (rows + 1) x width band
+// whose row 0 is the upper checkpoint, addressed through that band's
+// AntiDiagonalLayout. The second lets a W-dependent recurrence, whose rows
+// are sequential, rematerialize a whole front per vector pass.
 //
 // Reads are column-pruned: a band is rematerialized only out to the
 // requested column (plus a K-column guard when the contributing set has
@@ -29,9 +36,11 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "tables/grid.h"
+#include "tables/layout.h"
 #include "util/aligned.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
@@ -41,13 +50,17 @@ namespace lddp {
 template <typename V>
 class FrontierTable {
  public:
-  /// Rematerializes rows [row_lo, row_hi) into `out` (row stride
-  /// `stride`, columns [0, width) of each row computed), chaining from
-  /// `prev_row` — the checkpoint row row_lo - 1, always full width.
+  /// Rematerializes columns [0, width) of rows [row_lo, row_hi) into
+  /// `out`, chaining from `prev_row` — the checkpoint row row_lo - 1,
+  /// always full width. With `fronts` null, `out` is row-major with row
+  /// stride `width`. Otherwise `out` is front-major over `*fronts`, the
+  /// (row_hi - row_lo + 1) x width anti-diagonal layout whose row 0 is the
+  /// checkpoint row (the callback copies it in): grid cell (i, j) lives at
+  /// out[fronts->flat(i - row_lo + 1, j)].
   using RematFn =
       std::function<void(std::size_t row_lo, std::size_t row_hi,
                          std::size_t width, const V* prev_row, V* out,
-                         std::size_t stride)>;
+                         const AntiDiagonalLayout* fronts)>;
 
   /// Coordinate view applied on top of the canonical storage — the
   /// frontier analogue of transpose_grid / mirror_grid for the symmetry
@@ -129,9 +142,15 @@ class FrontierTable {
 
   /// `ne_reads` marks a contributing set with NE: reads drift right while
   /// walking up, so pruned bands carry a K-column guard on the right.
-  void set_remat(RematFn fn, bool ne_reads) {
+  /// `front_major` selects the band order the callback fills (see
+  /// RematFn); it requires an NE-free set, whose anti-diagonals of the
+  /// band depend only on earlier ones.
+  void set_remat(RematFn fn, bool ne_reads, bool front_major) {
+    LDDP_CHECK(!(ne_reads && front_major));
     remat_ = std::move(fn);
     ne_pad_ = ne_reads;
+    front_major_ = front_major;
+    cached_band_ = kNoBand;
   }
   void set_transform(Transform t) { transform_ = t; }
   /// Shares ownership of whatever the remat callback points into (the
@@ -151,6 +170,8 @@ class FrontierTable {
     return resident_bytes() + peak_scratch_bytes_;
   }
   const RematStats& remat_stats() const { return remat_stats_; }
+  /// True when bands are rematerialized front-major (see set_remat).
+  bool front_major_remat() const { return front_major_; }
 
  private:
   static constexpr std::size_t kNoBand = static_cast<std::size_t>(-1);
@@ -170,6 +191,8 @@ class FrontierTable {
     const std::size_t erosion =
         (ne_pad_ && cached_w_ < ccols_) ? i - band_lo + 1 : 0;
     if (cached_band_ != c || j + erosion >= cached_w_) load_band(c, j);
+    if (front_major_)
+      return scratch_.data()[band_fronts_->flat(i - band_lo + 1, j)];
     return scratch_.data()[(i - band_lo) * cached_w_ + j];
   }
 
@@ -194,16 +217,21 @@ class FrontierTable {
     // mid-remat throw leaves the table clean for a retry.
     fault::maybe_throw(fault::Site::kRematerialize, c);
     cached_band_ = kNoBand;
-    scratch_.ensure((band_hi - band_lo) * w);
-    remat_(band_lo, band_hi, w, ckpt_.data() + c * ccols_, scratch_.data(),
-           w);
+    const std::size_t rows = band_hi - band_lo;
+    std::size_t held = rows * w;  // scratch elements
+    const AntiDiagonalLayout* fronts = nullptr;
+    if (front_major_) {
+      fronts = &band_fronts_.emplace(rows + 1, w);
+      held = fronts->size();
+    }
+    remat_(band_lo, band_hi, w, ckpt_.data() + c * ccols_,
+           scratch_.ensure(held), fronts);
     cached_band_ = c;
     cached_w_ = w;
     ++remat_stats_.bands;
-    remat_stats_.rows += band_hi - band_lo;
-    remat_stats_.cells += (band_hi - band_lo) * w;
-    peak_scratch_bytes_ = std::max(peak_scratch_bytes_,
-                                   (band_hi - band_lo) * w * sizeof(V));
+    remat_stats_.rows += rows;
+    remat_stats_.cells += rows * w;
+    peak_scratch_bytes_ = std::max(peak_scratch_bytes_, held * sizeof(V));
   }
 
   std::size_t crows_ = 0, ccols_ = 0;  ///< canonical dimensions
@@ -213,10 +241,13 @@ class FrontierTable {
   std::vector<V> last_;                ///< row crows_ - 1
   RematFn remat_;
   bool ne_pad_ = false;
+  bool front_major_ = false;
   Transform transform_ = Transform::kIdentity;
   std::shared_ptr<const void> keep_alive_;
 
   mutable AlignedBuf<V> scratch_;
+  /// Front-major band geometry of the cached band (front_major_ only).
+  mutable std::optional<AntiDiagonalLayout> band_fronts_;
   mutable std::size_t cached_band_ = kNoBand;
   mutable std::size_t cached_w_ = 0;
   mutable RematStats remat_stats_;

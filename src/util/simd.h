@@ -102,6 +102,53 @@ inline I32x4 byte_eq_mask(std::uint32_t a4, std::uint32_t b4) {
   return {_mm_unpacklo_epi16(lo, lo)};
 }
 
+namespace detail {
+/// shufps on integer lanes: result = {a[s0], a[s1], b[s2], b[s3]}. A pure
+/// bit move — the float unit never interprets the lanes.
+template <int s0, int s1, int s2, int s3>
+inline __m128i shuffle2(__m128i a, __m128i b) {
+  return _mm_castps_si128(_mm_shuffle_ps(_mm_castsi128_ps(a),
+                                         _mm_castsi128_ps(b),
+                                         _MM_SHUFFLE(s3, s2, s1, s0)));
+}
+}  // namespace detail
+
+/// Loads 4 consecutive 3-field records (12 elements from `p`, e.g. an
+/// array of {a, b, c} int32 structs) and splits them by field: lane k of
+/// `a` is record k's first field, and so on. Three loads, six shuffles.
+inline void load3_deinterleave(const std::int32_t* p, I32x4& a, I32x4& b,
+                               I32x4& c) {
+  // v0 = a0 b0 c0 a1 | v1 = b1 c1 a2 b2 | v2 = c2 a3 b3 c3
+  const __m128i v0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  const __m128i v1 =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 4));
+  const __m128i v2 =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 8));
+  const __m128i a23 = detail::shuffle2<2, 2, 1, 1>(v1, v2);  // a2 a2 a3 a3
+  a.v = detail::shuffle2<0, 3, 0, 2>(v0, a23);
+  const __m128i bc01 = detail::shuffle2<1, 2, 0, 1>(v0, v1);  // b0 c0 b1 c1
+  const __m128i b23 = detail::shuffle2<3, 3, 2, 2>(v1, v2);   // b2 b2 b3 b3
+  b.v = detail::shuffle2<0, 2, 0, 2>(bc01, b23);
+  c.v = detail::shuffle2<1, 3, 0, 3>(bc01, v2);
+}
+
+/// Inverse of load3_deinterleave: writes records k = 0..3 as
+/// {a[k], b[k], c[k]} to 12 consecutive elements at `p`.
+inline void store3_interleave(std::int32_t* p, I32x4 a, I32x4 b, I32x4 c) {
+  const __m128i ab01 = _mm_unpacklo_epi32(a.v, b.v);         // a0 b0 a1 b1
+  const __m128i ca01 = detail::shuffle2<0, 0, 1, 1>(c.v, a.v);  // c0 c0 a1 a1
+  const __m128i bc01 = _mm_unpacklo_epi32(b.v, c.v);         // b0 c0 b1 c1
+  const __m128i ab23 = _mm_unpackhi_epi32(a.v, b.v);         // a2 b2 a3 b3
+  const __m128i ca23 = detail::shuffle2<2, 2, 3, 3>(c.v, a.v);  // c2 c2 a3 a3
+  const __m128i bc23 = _mm_unpackhi_epi32(b.v, c.v);         // b2 c2 b3 c3
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p),
+                   detail::shuffle2<0, 1, 0, 2>(ab01, ca01));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p + 4),
+                   detail::shuffle2<2, 3, 0, 1>(bc01, ab23));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p + 8),
+                   detail::shuffle2<0, 2, 2, 3>(ca23, bc23));
+}
+
 #else  // scalar fallback
 
 struct I32x4 {
@@ -152,6 +199,21 @@ inline I32x4 byte_eq_mask(std::uint32_t a4, std::uint32_t b4) {
     r.v[k] = ac == bc ? -1 : 0;
   }
   return r;
+}
+inline void load3_deinterleave(const std::int32_t* p, I32x4& a, I32x4& b,
+                               I32x4& c) {
+  for (int k = 0; k < 4; ++k) {
+    std::memcpy(&a.v[k], p + 3 * k, 4);
+    std::memcpy(&b.v[k], p + 3 * k + 1, 4);
+    std::memcpy(&c.v[k], p + 3 * k + 2, 4);
+  }
+}
+inline void store3_interleave(std::int32_t* p, I32x4 a, I32x4 b, I32x4 c) {
+  for (int k = 0; k < 4; ++k) {
+    std::memcpy(p + 3 * k, &a.v[k], 4);
+    std::memcpy(p + 3 * k + 1, &b.v[k], 4);
+    std::memcpy(p + 3 * k + 2, &c.v[k], 4);
+  }
 }
 
 #endif  // LDDP_SIMD_SSE2

@@ -13,6 +13,7 @@
 #include "core/framework.h"
 #include "core/front_runner.h"
 #include "cpu/thread_pool.h"
+#include "problems/alignment.h"
 #include "problems/checkerboard.h"
 #include "problems/gotoh.h"
 #include "problems/lcs.h"
@@ -22,6 +23,7 @@
 #include "problems/synthetic.h"
 #include "tables/layout.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace lddp {
 namespace {
@@ -231,6 +233,8 @@ TEST(BatchKernels, DifferentialRealProblems) {
   const problems::LevenshteinProblem lev(a, b);
   const problems::LcsProblem lcs(a, b);
   const problems::GotohProblem gotoh(a, b);
+  const problems::NeedlemanWunschProblem nw(a, b);
+  const problems::SmithWatermanProblem sw(a, b);
   const problems::MaxSquareProblem sq(problems::random_bit_grid(80, 70, 21));
   const problems::CheckerboardProblem chk(
       problems::random_cost_board(60, 90, 22));
@@ -251,6 +255,8 @@ TEST(BatchKernels, DifferentialRealProblems) {
       expect_batch_identical(lev, cfg, "levenshtein" + tag);
       expect_batch_identical(lcs, cfg, "lcs" + tag);
       expect_batch_identical(gotoh, cfg, "gotoh" + tag);
+      expect_batch_identical(nw, cfg, "nw" + tag);
+      expect_batch_identical(sw, cfg, "sw" + tag);
       expect_batch_identical(sq, cfg, "max_square" + tag);
       expect_batch_identical(chk, cfg, "checkerboard" + tag);
       expect_batch_identical(seam, cfg, "seam" + tag);
@@ -258,6 +264,110 @@ TEST(BatchKernels, DifferentialRealProblems) {
       expect_batch_identical(minnwn, cfg, "minnwn" + tag);
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Span level: each sequence problem's compute_front must equal its
+// per-cell compute lane for lane, on anti-diagonal spans of every length
+// 1..37 (so every vector-loop count and every 1-3 lane tail), with
+// unaligned neighbour spans and arbitrary neighbour values — including
+// gotoh's kNegInf "unreachable" sentinels in any state field.
+
+std::int32_t random_score(Rng& rng) {
+  return static_cast<std::int32_t>(rng.uniform_int(-5000, 5000));
+}
+problems::GotohCell random_value(Rng& rng, const problems::GotohCell*) {
+  auto field = [&rng] {
+    return rng.uniform_int(0, 3) == 0 ? problems::GotohCell::kNegInf
+                                      : random_score(rng);
+  };
+  problems::GotohCell c;
+  c.m = field();
+  c.x = field();
+  c.y = field();
+  return c;
+}
+std::int32_t random_value(Rng& rng, const std::int32_t*) {
+  return random_score(rng);
+}
+
+template <typename P>
+void expect_spans_match_compute(const P& p, const std::string& what,
+                                std::uint64_t seed) {
+  using V = typename P::Value;
+  Rng rng(seed);
+  const std::size_t n = p.rows() - 1, m = p.cols() - 1;  // interior extent
+  for (std::size_t len = 1; len <= 37; ++len) {
+    ASSERT_LE(len, std::min(n, m)) << what;
+    // A random start, and a random misalignment of every span.
+    const std::size_t i0 = 1 + static_cast<std::size_t>(rng.uniform_int(
+                                   0, static_cast<std::int64_t>(n - len)));
+    const std::size_t j0 =
+        len + static_cast<std::size_t>(rng.uniform_int(
+                  0, static_cast<std::int64_t>(m - len)));
+    std::vector<V> buf[4];
+    const V* in[3];
+    for (std::size_t s = 0; s < 4; ++s) {
+      const std::size_t skew = static_cast<std::size_t>(rng.uniform_int(0, 3));
+      buf[s].resize(skew + len);
+      for (V& v : buf[s]) v = random_value(rng, &v);
+      if (s < 3) in[s] = buf[s].data() + skew;
+    }
+    V* const out = buf[3].data() + (buf[3].size() - len);
+    FrontSpan<V> span;
+    span.i0 = i0;
+    span.j0 = j0;
+    span.di = 1;
+    span.dj = -1;
+    span.len = len;
+    span.w = in[0];
+    span.nw = in[1];
+    span.n = in[2];
+    span.out = out;
+    ASSERT_TRUE(p.compute_front(span)) << what << " len " << len;
+    for (std::size_t k = 0; k < len; ++k) {
+      const Neighbors<V> nb{in[0][k], in[1][k], in[2][k], p.boundary()};
+      EXPECT_TRUE(out[k] == p.compute(i0 + k, j0 - k, nb))
+          << what << " len " << len << " lane " << k;
+    }
+  }
+}
+
+TEST(BatchKernels, SpansMatchPerCellCompute) {
+  const std::string a = random_seq(53, 31), b = random_seq(47, 32);
+  expect_spans_match_compute(problems::LevenshteinProblem(a, b),
+                             "levenshtein", 1);
+  expect_spans_match_compute(problems::LcsProblem(a, b), "lcs", 2);
+  expect_spans_match_compute(problems::NeedlemanWunschProblem(a, b), "nw",
+                             3);
+  expect_spans_match_compute(problems::SmithWatermanProblem(a, b), "sw", 4);
+  expect_spans_match_compute(problems::GotohProblem(a, b), "gotoh", 5);
+  // Non-default scores, so no lane can pass by a constant coincidence.
+  const problems::AlignmentScores nw_scores{5, -3, -7}, sw_scores{3, -2, -4};
+  expect_spans_match_compute(problems::NeedlemanWunschProblem(a, b, nw_scores),
+                             "nw scored", 6);
+  expect_spans_match_compute(problems::SmithWatermanProblem(a, b, sw_scores),
+                             "sw scored", 7);
+  expect_spans_match_compute(
+      problems::GotohProblem(a, b, problems::AffineScores{3, -2, -6, -2}),
+      "gotoh scored", 8);
+}
+
+// The SIMD 3-field (de)interleave the gotoh kernel is built on: a round
+// trip through registers is the identity, and each register holds one
+// field of the 4 records.
+TEST(BatchKernels, ThreeFieldInterleaveRoundTrip) {
+  std::int32_t in[12], out[12];
+  for (int k = 0; k < 12; ++k) in[k] = 100 * (k % 3) + k / 3;
+  simd::I32x4 f[3];
+  simd::load3_deinterleave(in, f[0], f[1], f[2]);
+  for (int c = 0; c < 3; ++c) {
+    std::int32_t lanes[4];
+    f[c].store(lanes);
+    for (int k = 0; k < 4; ++k) EXPECT_EQ(lanes[k], 100 * c + k);
+  }
+  simd::store3_interleave(out, f[0], f[1], f[2]);
+  for (int k = 0; k < 12; ++k) EXPECT_EQ(out[k], in[k]);
 }
 
 // ---------------------------------------------------------------------

@@ -452,7 +452,10 @@ TEST(BatchLifecycle, NoRetriesMeansStructuredFailure) {
 /// Strip-worker injection: a multi-threaded CPU solve on the engine's
 /// executor, armed at the per-morsel kStripWorker site, must propagate any
 /// worker exception, retry down the ladder, and still produce
-/// bit-identical results.
+/// bit-identical results. Morsels (and so fault draws) exist only on
+/// fronts of at least Platform::kParallelExecThreshold (4096) cells, so the
+/// table is a short, wide horizontal one whose every front is a 5000-cell
+/// row; the retry count proves the site fired.
 TEST(BatchLifecycle, StripWorkerFaultsRetryCleanly) {
   BatchConfig bc;
   bc.worker_threads = 0;
@@ -464,7 +467,8 @@ TEST(BatchLifecycle, StripWorkerFaultsRetryCleanly) {
   bc.chaos.set_rate(Site::kStripWorker, 0.6);
   bc.lane_pack = 0;
   BatchEngine engine(bc);
-  const auto p = make_deps_problem(ContributingSet(0b0111), 64, 64, 9);
+  constexpr std::size_t kCols = 5000;  // > the 4096-cell threshold
+  const auto p = make_deps_problem(ContributingSet(0b0110), 12, kCols, 9);
   RunConfig rc;
   rc.mode = Mode::kCpuParallel;
   RunConfig serial;
@@ -475,6 +479,9 @@ TEST(BatchLifecycle, StripWorkerFaultsRetryCleanly) {
   const BatchReport rep = engine.wait();
   ASSERT_EQ(rep.solves, 1u);
   EXPECT_EQ(rep.failed_solves, 0u);
+  EXPECT_GE(rep.retry_attempts, 1u)
+      << "no morsel drew a fault: the test no longer reaches kStripWorker";
+  EXPECT_GE(rep.items[0].retries, 1u);
   SolveResult<decltype(make_deps_problem(ContributingSet(1), 1, 1, 0))> got;
   ASSERT_NO_THROW(got = f->get());
   EXPECT_EQ(got.table, expected);

@@ -55,17 +55,17 @@ auto make_probe(const Case& c) {
       });
 }
 
-/// Every cell of the frontier table against the reference grid — a full
+/// Every cell of the frontier table against the reference table — a full
 /// forward scan is the adversarial read order for the band cache (each
 /// row of a band is read before the walk moves below the checkpoint).
-template <typename Table>
-void expect_all_cells_equal(const Table& got, const Grid<V>& ref,
+template <typename Table, typename Ref>
+void expect_all_cells_equal(const Table& got, const Ref& ref,
                             const std::string& what) {
   ASSERT_EQ(got.rows(), ref.rows()) << what;
   ASSERT_EQ(got.cols(), ref.cols()) << what;
   for (std::size_t i = 0; i < ref.rows(); ++i)
     for (std::size_t j = 0; j < ref.cols(); ++j)
-      ASSERT_EQ(got.at(i, j), ref.at(i, j))
+      ASSERT_TRUE(got.at(i, j) == ref.at(i, j))
           << what << " cell (" << i << ", " << j << ")";
 }
 
@@ -228,57 +228,108 @@ TEST(FrontierStorage, BufferPoolHighWater) {
 }
 
 // Tracebacks on the real problems: identical alignments/seams whether
-// the cells come from the full grid or on-demand rematerialization.
+// the cells come from the full grid or on-demand rematerialization. The
+// alignment problems (W-dependent, NE-free, with a batch hook)
+// rematerialize bands as anti-diagonal fronts: 160^2 at K = 7 forces many
+// band walks; the ragged shapes at the default K have bands deeper than a
+// SIMD run, and at K = 3 every front of a band is edge cells.
 TEST(FrontierStorage, TracebacksMatchFullTable) {
-  const std::size_t n = 160;
-  RunConfig full_cfg;  // default: classic full-table solve()
-  RunConfig fr_cfg;
-  fr_cfg.storage = Storage::kFrontier;
-  fr_cfg.checkpoint_interval = 7;  // force many band walks
-
-  {
-    problems::NeedlemanWunschProblem p(problems::random_sequence(n, 3),
-                                       problems::random_sequence(n, 4));
-    const auto ref = nw_traceback(p, solve(p, full_cfg).table);
-    const auto got = nw_traceback(p, solve_frontier(p, fr_cfg).table);
-    EXPECT_EQ(got.a, ref.a);
-    EXPECT_EQ(got.b, ref.b);
-    EXPECT_EQ(got.score, ref.score);
+  struct TracebackCase {
+    std::size_t rows, cols, k;
+  };
+  const TracebackCase cases[] = {{160, 160, 7}, {301, 257, 0}, {301, 257, 3},
+                                 {130, 415, 0}, {130, 415, 3}, {415, 97, 0},
+                                 {415, 97, 3}};
+  std::uint64_t seed = 2;
+  for (const TracebackCase& c : cases) {
+    const std::string a = problems::random_sequence(c.rows, ++seed);
+    const std::string b = problems::random_sequence(c.cols, ++seed);
+    const problems::NeedlemanWunschProblem nw(a, b);
+    const problems::SmithWatermanProblem sw(a, b);
+    const problems::GotohProblem gotoh(a, b);
+    const auto sw_full = solve(sw).table;
+    const auto gotoh_full = solve(gotoh).table;
+    const auto nw_ref = nw_traceback(nw, solve(nw).table);
+    const auto sw_ref = sw_traceback(sw, sw_full);
+    const auto gotoh_ref = gotoh_traceback(gotoh, gotoh_full);
+    for (const Mode mode : {Mode::kCpuSerial, Mode::kCpuParallel, Mode::kGpu,
+                            Mode::kHeterogeneous}) {
+      RunConfig cfg;
+      cfg.mode = mode;
+      cfg.storage = Storage::kFrontier;
+      cfg.checkpoint_interval = c.k;
+      const std::string what = std::to_string(c.rows) + "x" +
+                               std::to_string(c.cols) + " " +
+                               to_string(mode) + " K=" + std::to_string(c.k);
+      {
+        const auto fr = solve_frontier(nw, cfg).table;
+        EXPECT_TRUE(fr.front_major_remat()) << what;
+        const auto got = nw_traceback(nw, fr);
+        EXPECT_EQ(got.a, nw_ref.a) << "nw " << what;
+        EXPECT_EQ(got.b, nw_ref.b) << "nw " << what;
+        EXPECT_EQ(got.score, nw_ref.score) << "nw " << what;
+      }
+      {
+        const auto fr = solve_frontier(sw, cfg).table;
+        EXPECT_EQ(problems::sw_best_score(fr), problems::sw_best_score(sw_full))
+            << "sw " << what;
+        const auto got = sw_traceback(sw, fr);
+        EXPECT_EQ(got.a, sw_ref.a) << "sw " << what;
+        EXPECT_EQ(got.b, sw_ref.b) << "sw " << what;
+        EXPECT_EQ(got.score, sw_ref.score) << "sw " << what;
+      }
+      {
+        const auto fr = solve_frontier(gotoh, cfg).table;
+        EXPECT_EQ(problems::gotoh_score(fr), problems::gotoh_score(gotoh_full))
+            << "gotoh " << what;
+        const auto got = gotoh_traceback(gotoh, fr);
+        EXPECT_EQ(got.a, gotoh_ref.a) << "gotoh " << what;
+        EXPECT_EQ(got.b, gotoh_ref.b) << "gotoh " << what;
+        EXPECT_EQ(got.score, gotoh_ref.score) << "gotoh " << what;
+      }
+    }
   }
   {
-    problems::SmithWatermanProblem p(problems::random_sequence(n, 5),
-                                     problems::random_sequence(n, 6));
-    const auto full = solve(p, full_cfg).table;
-    const auto fr = solve_frontier(p, fr_cfg).table;
-    EXPECT_EQ(problems::sw_best_score(fr), problems::sw_best_score(full));
-    const auto ref = sw_traceback(p, full);
-    const auto got = sw_traceback(p, fr);
-    EXPECT_EQ(got.a, ref.a);
-    EXPECT_EQ(got.b, ref.b);
-    EXPECT_EQ(got.score, ref.score);
-  }
-  {
-    problems::GotohProblem p(problems::random_sequence(n, 7),
-                             problems::random_sequence(n, 8));
-    const auto full = solve(p, full_cfg).table;
-    const auto fr = solve_frontier(p, fr_cfg).table;
-    EXPECT_EQ(problems::gotoh_score(fr), problems::gotoh_score(full));
-    const auto ref = gotoh_traceback(p, full);
-    const auto got = gotoh_traceback(p, fr);
-    EXPECT_EQ(got.a, ref.a);
-    EXPECT_EQ(got.b, ref.b);
-    EXPECT_EQ(got.score, ref.score);
-  }
-  {
+    RunConfig fr_cfg;
+    fr_cfg.storage = Storage::kFrontier;
+    fr_cfg.checkpoint_interval = 7;  // force many band walks
     problems::SeamCarveProblem p(problems::dual_gradient_energy(
-        problems::plasma_image(n, n, 9)));
-    const auto ref = problems::extract_seam(solve(p, full_cfg).table);
+        problems::plasma_image(160, 160, 9)));
+    const auto ref = problems::extract_seam(solve(p).table);
     const auto got =
         problems::extract_seam(solve_frontier(p, fr_cfg).table);
     EXPECT_EQ(got, ref);
     EXPECT_EQ(problems::seam_energy(p.energy(), got),
               problems::seam_energy(p.energy(), ref));
   }
+}
+
+// Front-major bands and the row recurrence (batch kernels off) cover the
+// same rows and columns for the same reads: equal remat counts, equal
+// cells served.
+TEST(FrontierStorage, FrontMajorRematStatsMatchRowPath) {
+  const problems::GotohProblem p(problems::random_sequence(377, 11),
+                                 problems::random_sequence(290, 12));
+  RunConfig cfg;
+  cfg.mode = Mode::kCpuParallel;
+  cfg.storage = Storage::kFrontier;
+  const auto fronts = solve_frontier(p, cfg).table;
+  cfg.batch_kernels = false;
+  const auto rows = solve_frontier(p, cfg).table;
+  ASSERT_TRUE(fronts.front_major_remat());
+  ASSERT_FALSE(rows.front_major_remat());
+
+  const auto got = gotoh_traceback(p, fronts);
+  const auto ref = gotoh_traceback(p, rows);
+  EXPECT_EQ(got.a, ref.a);
+  EXPECT_EQ(got.b, ref.b);
+  const auto& fs = fronts.remat_stats();
+  const auto& rs = rows.remat_stats();
+  EXPECT_GT(rs.bands, 0u);
+  EXPECT_EQ(fs.bands, rs.bands);
+  EXPECT_EQ(fs.rows, rs.rows);
+  EXPECT_EQ(fs.cells, rs.cells);
+  expect_all_cells_equal(fronts, rows, "front-major vs rows");
 }
 
 // An injected fault mid-rematerialization must leave the table clean: the
@@ -307,6 +358,39 @@ TEST(FrontierStorage, ChaosFaultMidRematRetriesCleanly) {
   EXPECT_EQ(r.table.at(9, 9), ref.table.at(9, 9));
   EXPECT_EQ(r.table.at(17, 3), ref.table.at(17, 3));
   expect_all_cells_equal(r.table, ref.table, "post-fault");
+}
+
+// The same fault on the front-major band path (Needleman–Wunsch): the
+// throw leaves no half-built band behind, and the retried reads — and the
+// traceback over them — are exact.
+TEST(FrontierStorage, ChaosFaultMidFrontMajorRematRetriesCleanly) {
+  const problems::NeedlemanWunschProblem p(problems::random_sequence(90, 21),
+                                           problems::random_sequence(70, 22));
+  const auto ref = solve(p).table;
+
+  RunConfig cfg;
+  cfg.mode = Mode::kCpuSerial;
+  cfg.storage = Storage::kFrontier;
+  cfg.checkpoint_interval = 16;
+  const auto r = solve_frontier(p, cfg);
+  ASSERT_TRUE(r.table.front_major_remat());
+  (void)r.table.at(40, 30);  // a cached band the faults must invalidate
+
+  fault::FaultPlan plan;
+  plan.seed = 42;
+  plan.set_rate(fault::Site::kRematerialize, 1.0);
+  {
+    fault::FaultScope scope(&plan, /*solve=*/1, /*attempt=*/0);
+    EXPECT_THROW((void)r.table.at(20, 50), fault::InjectedFault);
+    EXPECT_THROW((void)r.table.at(70, 10), fault::InjectedFault);
+  }
+  EXPECT_EQ(r.table.at(20, 50), ref.at(20, 50));
+  EXPECT_EQ(r.table.at(70, 10), ref.at(70, 10));
+  const auto got = nw_traceback(p, r.table);
+  const auto want = nw_traceback(p, ref);
+  EXPECT_EQ(got.a, want.a);
+  EXPECT_EQ(got.b, want.b);
+  expect_all_cells_equal(r.table, ref, "post-fault");
 }
 
 /// A lane-eligible frontier request: small, serial, batch kernels on.
