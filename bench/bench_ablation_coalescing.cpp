@@ -46,8 +46,10 @@ void BM_InvertedL_ShellMajorStorage(benchmark::State& state) {
   SolveStats stats;
   for (auto _ : state) {
     sim::Platform platform(sim::PlatformSpec::hetero_high());
-    auto table =
-        solve_gpu(p, ShellLayout(p.rows(), p.cols()), platform, &stats);
+    const ShellLayout shells(p.rows(), p.cols());
+    FullStore<problems::MaxNwProblem::Value, ShellLayout> store(
+        shells, &platform.gpu());
+    auto table = solve_gpu(p, store, platform, &stats);
     benchmark::DoNotOptimize(table.data());
     state.SetIterationTime(stats.sim_seconds);
   }
@@ -77,7 +79,10 @@ void print_series() {
     }
     {
       sim::Platform platform(sim::PlatformSpec::hetero_high());
-      solve_gpu(p, ShellLayout(p.rows(), p.cols()), platform, &s2);
+      const ShellLayout shells(p.rows(), p.cols());
+      FullStore<problems::MaxNwProblem::Value, ShellLayout> store(
+          shells, &platform.gpu());
+      solve_gpu(p, store, platform, &s2);
     }
     std::printf("%8zu %18.3f %18.3f %9.2fx\n", n, s1.sim_seconds * 1e3,
                 s2.sim_seconds * 1e3, s1.sim_seconds / s2.sim_seconds);

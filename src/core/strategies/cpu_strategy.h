@@ -5,15 +5,12 @@
 //   four representative cells lie up or left), so this is the universal
 //   correctness reference for all patterns.
 // * solve_cpu_parallel — the paper's multicore baseline: wavefronts of the
-//   problem's pattern, block-per-thread within each front (Section IV-A).
+//   problem's pattern, block-per-thread within each front (Section IV-A),
+//   over a store (full table or rolling window).
 #pragma once
-
-#include <type_traits>
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
-#include "tables/front_major.h"
-#include "util/aligned.h"
 
 namespace lddp {
 
@@ -49,44 +46,32 @@ Grid<typename P::Value> solve_cpu_serial(const P& p, sim::Platform* platform,
     stats->transfer = TransferNeed::kNone;
     stats->fronts = n;  // scan rows
     stats->cells = n * m;
+    stats->peak_table_bytes = n * m * sizeof(V);
     if (platform) detail::finish_stats(*stats, *platform, wall.seconds());
     else stats->real_seconds = wall.seconds();
   }
   return table;
 }
 
-/// Multicore wavefront execution over the pattern's layout — the paper's
+/// Multicore wavefront execution over the store's layout — the paper's
 /// OpenMP-style baseline: one fork/join parallel region per front.
 /// `mem_amplification` prices cache-hostile walk orders (diagonal fronts)
-/// in the model. Row fronts are rows of the result grid and fill it in
-/// place; any other front order fills a front-major staging table
-/// (tables/front_major.h), so every neighbour span is stride-one, and
-/// unpacks it into the grid once at the end.
-template <LddpProblem P, typename Layout>
-Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
-                                           sim::Platform& platform,
-                                           SolveStats* stats,
-                                           double mem_amplification = 1.0,
-                                           bool batch = true) {
+/// in the model. The store (core/strategies/frontier_engine.h) decides
+/// where cells live — the whole table or a rolling window — and the
+/// schedule is the same either way.
+template <LddpProblem P, typename Store>
+auto solve_cpu_parallel(const P& p, Store& store, sim::Platform& platform,
+                        SolveStats* stats, double mem_amplification = 1.0,
+                        bool batch = true) {
   using V = typename P::Value;
   Stopwatch wall;
-  const std::size_t n = p.rows(), m = p.cols();
+  const auto& layout = store.layout();
   const ContributingSet deps = p.deps();
   const V bound = p.boundary();
   const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
   const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
-  constexpr bool kInPlace = std::is_same_v<Layout, RowMajorLayout>;
-  const FrontMajorIndex<Layout> idx =
-      kInPlace ? FrontMajorIndex<Layout>(layout)
-               : FrontMajorIndex<Layout>(layout, sizeof(V));
-  // Every cell is computed before any read of it, so neither the grid nor
-  // the staging table needs a fill.
-  Grid<V> table;
-  AlignedBuf<V> staging;
-  if constexpr (kInPlace) table = Grid<V>::uninitialized(n, m);
-  V* const data = kInPlace ? table.data() : staging.ensure(idx.size());
-  auto addr = [data, &idx](std::size_t i, std::size_t j) {
-    return data + idx.flat(i, j);
+  auto addr = [&store](std::size_t i, std::size_t j) {
+    return store.addr(i, j);
   };
   sim::Platform::CpuFrontOpts opts;
   opts.mem_amplification = mem_amplification;
@@ -102,14 +87,16 @@ Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
                                   batch);
         },
         opts);
+    store.after_front(f);
   }
-  if constexpr (!kInPlace) table = unpack_front_major(data, idx);
+  auto table = store.finish();
   if (stats) {
     stats->mode_used = Mode::kCpuParallel;
     stats->pattern = classify(deps);
     stats->transfer = TransferNeed::kNone;
     stats->fronts = layout.num_fronts();
-    stats->cells = n * m;
+    stats->cells = p.rows() * p.cols();
+    stats->peak_table_bytes = store.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
   }
   return table;

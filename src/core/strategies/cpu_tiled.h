@@ -64,6 +64,7 @@ Grid<typename P::Value> solve_cpu_tiled(const P& p, sim::Platform& platform,
     stats->transfer = TransferNeed::kNone;
     stats->fronts = sched.num_fronts();
     stats->cells = n * m;
+    stats->peak_table_bytes = n * m * sizeof(V);
     detail::finish_stats(*stats, platform, wall.seconds());
   }
   return table;

@@ -1,35 +1,42 @@
-// Frontier (linear-space) execution engines.
+// Storage tiers of a solve, and the frontier tier's own machinery.
 //
-// Every strategy here fills a FrontierTable instead of a Grid: the live
-// state during the sweep is a rolling window of the last few wavefronts
-// (front_runner.h frontier_window_fronts gives the per-layout width), and
-// the only rows that survive the solve are the checkpoint rows i % K == 0
-// plus the last row. Consumers that need interior cells — tracebacks,
-// best-score scans — go through the table's rematerialization callback
+// Every parallel strategy (cpu_strategy.h, gpu_strategy.h, the
+// heterogeneous ones) is written once, over a *store*: where each cell of
+// the sweep lives. A store provides
+//   addr(i, j)       the cell's storage (affine along every FrontRun, so
+//                    the SIMD batch-front machinery works unchanged);
+//   after_front(f)   called once front f is complete; returns the cells it
+//                    copied out of the live storage;
+//   finish()         the caller-facing table;
+//   peak_bytes()     table-storage high-water across host and device.
+// Either store lives in host memory or, for the GPU and heterogeneous
+// strategies, in simulated device memory (a BufferPool acquisition).
+//
+//   * FullStore   — the whole table: front-major (tables/front_major.h)
+//     and unpacked into the row-major Grid once, or — row fronts in host
+//     memory — the Grid itself. after_front harvests nothing.
+//   * WindowStore — a rolling FrontWindow of the last few fronts
+//     (front_runner.h frontier_window_fronts gives the per-layout width);
+//     after_front harvests the checkpoint rows i % K == 0 and the last row
+//     into a FrontierTable, O(window + rows/K * cols) instead of
+//     O(rows * cols).
+//
+// The strategies' schedules are the paper's, whatever the store. The one
+// difference a store makes to simulated time: after a front with
+// GPU-computed cells, the cells it harvested travel to the host, priced
+// as one pinned download labelled "frontier.halo" (record_halo). The full
+// tier harvests nothing, so its timeline carries no halo ops; the frontier
+// tier's timeline minus its halos is the full tier's, op for op
+// (tests/test_storage_parity.cpp).
+//
+// Consumers of a frontier table that need interior cells — tracebacks,
+// best-score scans — go through its rematerialization callback
 // (attach_row_remat), which re-runs the problem's own recurrence over one
-// K-row band — row by row, or, for W-dependent problems with a batch hook,
-// front by front over a front-major band; results are bit-identical to
-// the full-table strategies because every cell value is a pure function
-// of its neighbours.
-//
-// Engines:
-//   * solve_frontier_serial   — row-streaming scan; works for every
-//     pattern (a row-major sweep respects all LDDP-Plus dependencies).
-//   * solve_frontier_parallel — multicore wavefronts over the window
-//     (the cpu_strategy.h baseline minus the O(n*m) table).
-//   * solve_frontier_gpu      — per-front kernels into a device-resident
-//     window; only checkpoint halos are downloaded, never the table.
-//   * solve_frontier_hetero   — the paper's CPU+GPU split over the
-//     window; the CPU owns its strip of each front directly in the
-//     (host-visible) device window, boundary cells are priced as pinned
-//     transfers exactly like the full-table heterogeneous strategies.
-//
-// Simulated pricing matches the full-table strategies front for front
-// (same kernels, same CPU charges); what changes is storage: O(window +
-// rows/K checkpoints) instead of O(rows * cols), which is also why the
-// real wall-clock of large value-only solves improves — the window stays
-// cache-resident and the full table's zero-fill, write-allocate traffic
-// and final unpack disappear.
+// K-row band — row by row, or, for W-dependent problems with a batch
+// hook, front by front over a front-major band. Results are bit-identical
+// to the full tier because every cell value is a pure function of its
+// neighbours. solve_frontier_serial, the row-streaming scan, needs no
+// window and no store: two rolling rows suffice for every pattern.
 #pragma once
 
 #include <algorithm>
@@ -48,33 +55,6 @@ namespace lddp::detail {
 inline std::size_t resolve_checkpoint_interval(std::size_t user,
                                                std::size_t rows) {
   return user > 0 ? user : default_checkpoint_interval(rows);
-}
-
-// --- Front index of a cell (inverse of the layout's front geometry) ----
-
-inline std::size_t front_of(const RowMajorLayout&, std::size_t i,
-                            std::size_t) {
-  return i;
-}
-inline std::size_t front_of(const ColumnMajorLayout&, std::size_t,
-                            std::size_t j) {
-  return j;
-}
-inline std::size_t front_of(const AntiDiagonalLayout&, std::size_t i,
-                            std::size_t j) {
-  return i + j;
-}
-inline std::size_t front_of(const KnightMoveLayout&, std::size_t i,
-                            std::size_t j) {
-  return 2 * i + j;
-}
-inline std::size_t front_of(const ShellLayout&, std::size_t i,
-                            std::size_t j) {
-  return std::min(i, j);
-}
-inline std::size_t front_of(const MirrorShellLayout& L, std::size_t i,
-                            std::size_t j) {
-  return std::min(i, L.cols() - 1 - j);
 }
 
 /// Rolling window over the last `w` fronts of a layout, 64-byte-aligned
@@ -99,7 +79,7 @@ struct FrontWindow {
   }
 
   V* addr(std::size_t i, std::size_t j) const {
-    const std::size_t f = front_of(*layout, i, j);
+    const std::size_t f = layout->front_of(i, j);
     return base + (f % w) * stride +
            (layout->flat(i, j) - layout->front_offset(f));
   }
@@ -324,323 +304,118 @@ FrontierTable<typename P::Value> solve_frontier_serial(
   return table;
 }
 
-// --- Multicore wavefront engine ----------------------------------------
-
-/// solve_cpu_parallel over a rolling front window. Requires
-/// frontier_window_fronts(layout, deps) > 0 (the caller checks and falls
-/// back to the full-table strategy otherwise).
-template <LddpProblem P, typename Layout>
-FrontierTable<typename P::Value> solve_frontier_parallel(
-    const P& p, const Layout& layout, sim::Platform& platform,
-    SolveStats* stats, double mem_amplification, bool batch,
-    std::size_t K) {
-  using V = typename P::Value;
-  Stopwatch wall;
-  const std::size_t n = p.rows(), m = p.cols();
-  const ContributingSet deps = p.deps();
-  const V bound = p.boundary();
-  const std::size_t w = frontier_window_fronts(layout, deps);
-  LDDP_CHECK_MSG(w > 0, "layout/deps pair has no bounded frontier window");
-  const bool use_batch = use_batch_front(p, layout, deps, batch);
-  const cpu::WorkProfile work = cpu_work_for(p, use_batch);
-  FrontierTable<V> table = FrontierTable<V>::checkpointed(n, m, K);
-
-  AlignedBuf<V> win;
-  FrontWindow<V, Layout> fw{&layout, nullptr, w,
-                            FrontWindow<V, Layout>::slot_stride(layout)};
-  fw.base = win.ensure(fw.w * fw.stride);
-  auto addr = [&fw](std::size_t i, std::size_t j) { return fw.addr(i, j); };
-
-  sim::Platform::CpuFrontOpts opts;
-  opts.mem_amplification = mem_amplification;
-  for (std::size_t f = 0; f < layout.num_fronts(); ++f) {
-    opts.parallel = cpu::parallel_beats_serial(
-        platform.spec().cpu, work, layout.front_size(f), mem_amplification);
-    platform.cpu_front(
-        layout.front_size(f), work,
-        [&](std::size_t lo, std::size_t hi) {
-          run_front_range(p, deps, bound, layout, f, lo, hi, addr, batch);
-        },
-        opts);
-    harvest_front(table, layout, f, n, K, addr);
-  }
-  if (stats) {
-    stats->mode_used = Mode::kCpuParallel;
-    stats->pattern = classify(deps);
-    stats->transfer = TransferNeed::kNone;
-    stats->fronts = layout.num_fronts();
-    stats->cells = n * m;
-    finish_stats(*stats, platform, wall.seconds());
-    finish_frontier_stats(stats, table, fw.w * fw.stride * sizeof(V));
-  }
-  return table;
-}
-
-// --- GPU engine ---------------------------------------------------------
-
-/// solve_gpu over a device-resident front window. The full-table version
-/// downloads result_bytes and host-unpacks the whole device array; here
-/// only the checkpoint halo of each front comes down (pinned), plus the
-/// same final result download.
-template <LddpProblem P, typename Layout>
-FrontierTable<typename P::Value> solve_frontier_gpu(
-    const P& p, const Layout& layout, sim::Platform& platform,
-    SolveStats* stats, bool fused, bool batch, std::size_t K) {
-  using V = typename P::Value;
-  Stopwatch wall;
-  const std::size_t n = p.rows(), m = p.cols();
-  const ContributingSet deps = p.deps();
-  const V bound = p.boundary();
-  const std::size_t w = frontier_window_fronts(layout, deps);
-  LDDP_CHECK_MSG(w > 0, "layout/deps pair has no bounded frontier window");
-  sim::Device& gpu = platform.gpu();
-  const auto stream = gpu.default_stream();
-  const sim::KernelInfo info = kernel_info_for(p, "gpu.front");
-  FrontierTable<V> table = FrontierTable<V>::checkpointed(n, m, K);
-
-  const std::size_t stride = FrontWindow<V, Layout>::slot_stride(layout);
-  sim::DeviceBuffer<V> dwin =
-      gpu.template alloc<V>(w * stride, /*zeroed=*/false);
-  FrontWindow<V, Layout> fw{&layout, dwin.device_ptr(), w, stride};
-  auto addr = [&fw](std::size_t i, std::size_t j) { return fw.addr(i, j); };
-
-  sim::LaunchGraph graph(gpu, fused);
-  graph.record_h2d(stream, input_bytes_of(p), sim::MemoryKind::kPageable);
-  for (std::size_t f = 0; f < layout.num_fronts(); ++f) {
-    graph.launch(stream, info, layout.front_size(f),
-                 [&, f](std::size_t lo, std::size_t hi) {
-                   run_front_range(p, deps, bound, layout, f, lo, hi, addr,
-                                   batch);
-                 });
-    // Kernels execute eagerly at record time (sim semantics), so the
-    // freshly computed front can be harvested here; the retained rows'
-    // trip to the host is priced as a pinned halo copy.
-    const std::size_t cells = harvest_front(table, layout, f, n, K, addr);
-    if (cells > 0)
-      graph.record_d2h(stream, cells * sizeof(V), sim::MemoryKind::kPinned);
-  }
-  graph.replay();
-  const sim::OpId done = gpu.record_d2h(stream, result_bytes_of(p),
-                                        sim::MemoryKind::kPageable);
-  platform.cpu_sync(done);
-
-  if (stats) {
-    stats->mode_used = Mode::kGpu;
-    stats->pattern = classify(deps);
-    stats->transfer = TransferNeed::kNone;
-    stats->fronts = layout.num_fronts();
-    stats->cells = n * m;
-    finish_stats(*stats, platform, wall.seconds());
-    finish_frontier_stats(stats, table, w * stride * sizeof(V));
-  }
-  return table;
-}
-
-// --- Heterogeneous engine ----------------------------------------------
-
-/// CPU-owned position range of front f under a t_share strip of `s`:
-/// columns j < s for row fronts, rows i < s for diagonal-order fronts
-/// (the same strip semantics as the full-table heterogeneous strategies).
-inline void hetero_cpu_range(const RowMajorLayout& L, std::size_t f,
-                             std::size_t s, std::size_t& lo,
-                             std::size_t& hi) {
-  (void)f;
-  lo = 0;
-  hi = std::min(s, L.cols());
-}
-inline void hetero_cpu_range(const AntiDiagonalLayout& L, std::size_t f,
-                             std::size_t s, std::size_t& lo,
-                             std::size_t& hi) {
-  const std::size_t i0 = L.i_min(f);
-  lo = 0;
-  hi = i0 >= s ? 0 : std::min(s - i0, L.front_size(f));
-}
-inline void hetero_cpu_range(const KnightMoveLayout& L, std::size_t f,
-                             std::size_t s, std::size_t& lo,
-                             std::size_t& hi) {
-  // Enumeration runs i descending from i_max, so the i < s strip is the
-  // suffix of the front.
-  const std::size_t fs = L.front_size(f);
-  hi = fs;
-  if (fs == 0) {
-    lo = 0;
-    return;
-  }
-  const std::size_t imax = L.i_max(f);
-  lo = imax + 1 > s ? std::min(imax + 1 - s, fs) : 0;
-}
-
-/// The paper's heterogeneous split over a rolling front window shared by
-/// both units: the (host-visible) device window takes the CPU strip's
-/// writes directly — mapped-memory style — while boundary cells crossing
-/// the strip are priced as the same pinned transfers the full-table
-/// heterogeneous strategies record. Supported for the row and
-/// diagonal-order layouts (hetero_cpu_range above); Inverted-L falls back
-/// to the full-table strategy at the dispatch layer.
-template <LddpProblem P, typename Layout>
-FrontierTable<typename P::Value> solve_frontier_hetero(
-    const P& p, const Layout& layout, Pattern canon, sim::Platform& platform,
-    const HeteroParams& user, SolveStats* stats, double mem_amplification,
-    bool fused, bool batch, std::size_t K) {
-  using V = typename P::Value;
-  Stopwatch wall;
-  const std::size_t n = p.rows(), m = p.cols();
-  const ContributingSet deps = p.deps();
-  const V bound = p.boundary();
-  const std::size_t w = frontier_window_fronts(layout, deps);
-  LDDP_CHECK_MSG(w > 0, "layout/deps pair has no bounded frontier window");
-  const std::size_t num_fronts = layout.num_fronts();
-  const bool use_batch = use_batch_front(p, layout, deps, batch);
-  const cpu::WorkProfile work = cpu_work_for(p, use_batch);
-
-  sim::Device& gpu = platform.gpu();
-  const sim::KernelInfo info = kernel_info_for(p, "hetero.frontier");
-  // NE on row fronts is the one strip crossing that flows GPU -> CPU
-  // (column j = t_share reads j + 1); diagonal-order strips only ever
-  // cross CPU -> GPU. A two-way phase cannot fuse: the CPU consumes
-  // device results mid-graph.
-  const bool gpu_to_cpu =
-      deps.has_ne() && std::is_same_v<Layout, RowMajorLayout>;
-  const bool fuse = fused && !gpu_to_cpu;
-  const HeteroParams params = resolve_hetero_params(
-      user, canon, n, m, platform.spec(), info, mem_amplification,
-      static_cast<double>(input_bytes_of(p)), gpu_to_cpu, fuse);
-  const std::size_t ts = static_cast<std::size_t>(params.t_switch);
-  const std::size_t s = static_cast<std::size_t>(params.t_share);
-  const std::size_t phase2_begin = std::min(ts, num_fronts);
-  const std::size_t phase2_end = num_fronts - std::min(ts, num_fronts);
-
-  FrontierTable<V> table = FrontierTable<V>::checkpointed(n, m, K);
-  const std::size_t stride = FrontWindow<V, Layout>::slot_stride(layout);
-  sim::DeviceBuffer<V> dwin =
-      gpu.template alloc<V>(w * stride, /*zeroed=*/false);
-  FrontWindow<V, Layout> fw{&layout, dwin.device_ptr(), w, stride};
-  auto addr = [&fw](std::size_t i, std::size_t j) { return fw.addr(i, j); };
-
-  const auto compute_stream = gpu.default_stream();
-  const auto h2d_stream = gpu.create_stream();
-  const auto d2h_stream = gpu.create_stream();
-  sim::LaunchGraph graph(gpu, fuse);
-  // Only the GPU share of the inputs goes up; the CPU strip reads host
-  // memory directly. The strip fraction is measured in front cells.
-  {
-    double cpu_cells = 0.0, all_cells = 0.0;
-    for (std::size_t f = 0; f < num_fronts; ++f) {
-      const std::size_t fs = layout.front_size(f);
-      all_cells += static_cast<double>(fs);
-      if (f < phase2_begin || f >= phase2_end) {
-        cpu_cells += static_cast<double>(fs);
-      } else {
-        std::size_t lo, hi;
-        hetero_cpu_range(layout, f, s, lo, hi);
-        cpu_cells += static_cast<double>(hi - lo);
-      }
-    }
-    const double frac = all_cells > 0.0 ? 1.0 - cpu_cells / all_cells : 0.0;
-    graph.record_h2d(compute_stream,
-                     static_cast<std::size_t>(
-                         static_cast<double>(input_bytes_of(p)) * frac),
-                     sim::MemoryKind::kPageable);
+/// Backing memory of a store: aligned host scratch, or a simulated device
+/// allocation (through the platform's BufferPool, so arena reuse and the
+/// pool-acquire fault site see it). Every cell is written before it is
+/// read, so neither is zero-filled.
+template <typename V>
+class StoreMemory {
+ public:
+  V* acquire(std::size_t count, sim::Device* device) {
+    if (device == nullptr) return host_.ensure(count);
+    device_ = device->template alloc<V>(count, /*zeroed=*/false);
+    return device_.device_ptr();
   }
 
-  auto run_cpu = [&](std::size_t f, std::size_t lo, std::size_t hi,
-                     sim::OpId dep) {
-    sim::Platform::CpuFrontOpts opts;
-    opts.streamed = true;
-    opts.mem_amplification = mem_amplification;
-    opts.parallel = cpu::parallel_beats_serial(
-        platform.spec().cpu, work, hi - lo, mem_amplification, true);
-    opts.dep1 = dep;
-    return platform.cpu_front(
-        hi - lo, work,
-        [&, f, lo](std::size_t a, std::size_t b) {
-          run_front_range(p, deps, bound, layout, f, lo + a, lo + b, addr,
-                          batch);
-        },
-        opts);
-  };
+ private:
+  AlignedBuf<V> host_;
+  sim::DeviceBuffer<V> device_;
+};
 
-  sim::OpId last_cpu = sim::kNoOp;
-  sim::OpId last_gpu = sim::kNoOp;
-  sim::OpId cpu_dep = sim::kNoOp;   // pinned D2H the next CPU strip awaits
-  sim::OpId h2d_ring[4] = {sim::kNoOp, sim::kNoOp, sim::kNoOp, sim::kNoOp};
-
-  for (std::size_t f = 0; f < num_fronts; ++f) {
-    const std::size_t fs = layout.front_size(f);
-    std::size_t lo = 0, hi = fs;  // CPU-owned positions
-    const bool split_phase = f >= phase2_begin && f < phase2_end;
-    if (split_phase) hetero_cpu_range(layout, f, s, lo, hi);
-
-    sim::OpId cpu_op = sim::kNoOp;
-    if (hi > lo) {
-      cpu_op = run_cpu(f, lo, hi, cpu_dep);
-      last_cpu = cpu_op;
-      cpu_dep = sim::kNoOp;
-    }
-
-    const bool has_gpu = split_phase ? (hi - lo) < fs : false;
-    sim::OpId h2d_op = sim::kNoOp;
-    if (has_gpu && hi > lo) {
-      // The CPU's strip-boundary cell of this front, pinned, pipelined on
-      // the copy stream (mapped window: the data is already visible, the
-      // record prices the crossing).
-      h2d_op = graph.record_h2d(h2d_stream, sizeof(V),
-                                sim::MemoryKind::kPinned, cpu_op);
-    }
-
-    h2d_ring[f % 4] = h2d_op;
-    if (has_gpu) {
-      // The kernel waits on the boundary uploads of every front still in
-      // the window (W/N/NW/NE reads reach up to w - 1 fronts back; the
-      // same-front W crossing of row fronts needs this front's upload).
-      sim::OpId extra =
-          std::is_same_v<Layout, RowMajorLayout> ? h2d_op : sim::kNoOp;
-      for (std::size_t back = 1; back < w && back <= f; ++back) {
-        const sim::OpId op = h2d_ring[(f - back) % 4];
-        if (op == sim::kNoOp) continue;
-        if (extra == sim::kNoOp) extra = op;
-        else graph.stream_wait(compute_stream, op);
-      }
-      const std::size_t glo = lo == 0 ? hi : 0;
-      const std::size_t ghi = lo == 0 ? fs : lo;
-      last_gpu = graph.launch(
-          compute_stream, info, ghi - glo,
-          [&, f, glo](std::size_t a, std::size_t b) {
-            run_front_range(p, deps, bound, layout, f, glo + a, glo + b, addr,
-                            batch);
-          },
-          extra);
-      if (gpu_to_cpu)
-        // NE pulls the GPU's boundary column back across the strip for
-        // the next front's CPU segment.
-        cpu_dep = graph.record_d2h(d2h_stream, sizeof(V),
-                                   sim::MemoryKind::kPinned, last_gpu);
-    }
-
-    const std::size_t cells = harvest_front(table, layout, f, n, K, addr);
-    if (cells > 0 && has_gpu)
-      graph.record_d2h(d2h_stream, cells * sizeof(V),
-                       sim::MemoryKind::kPinned);
-  }
-
-  graph.replay();
-  last_gpu = graph.resolve(last_gpu);
-  const sim::OpId fin = gpu.record_d2h(
-      d2h_stream, result_bytes_of(p), sim::MemoryKind::kPageable, last_gpu);
-  platform.cpu_sync(fin, last_cpu);
-
-  if (stats) {
-    stats->mode_used = Mode::kHeterogeneous;
-    stats->pattern = canon;
-    stats->transfer = transfer_need(deps);
-    stats->fronts = num_fronts;
-    stats->cells = n * m;
-    stats->t_switch = params.t_switch;
-    stats->t_share = params.t_share;
-    finish_stats(*stats, platform, wall.seconds());
-    finish_frontier_stats(stats, table, w * stride * sizeof(V));
-  }
-  return table;
+/// Prices the trip of a GPU-computed front's harvested cells to the host:
+/// one pinned download labelled "frontier.halo". Records nothing for zero
+/// bytes, i.e. on the full tier.
+inline void record_halo(sim::LaunchGraph& graph, sim::Device::StreamId stream,
+                        std::size_t bytes, sim::OpId dep = sim::kNoOp) {
+  if (bytes > 0)
+    graph.record_d2h(stream, bytes, sim::MemoryKind::kPinned, dep,
+                     "frontier.halo");
 }
 
 }  // namespace lddp::detail
+
+namespace lddp {
+
+/// The whole table. Row fronts in host memory are the rows of the result
+/// Grid and fill it in place; any other front order, or device memory,
+/// fills a padded front-major table that finish() unpacks into the Grid
+/// once, so every neighbour span of the sweep is stride-one.
+template <typename V, typename Layout>
+class FullStore {
+ public:
+  /// `device` null keeps the table in host memory.
+  explicit FullStore(const Layout& layout, sim::Device* device = nullptr)
+      : in_place_(std::is_same_v<Layout, RowMajorLayout> && device == nullptr),
+        idx_(in_place_ ? FrontMajorIndex<Layout>(layout)
+                       : FrontMajorIndex<Layout>(layout, sizeof(V))) {
+    if (in_place_) {
+      grid_ = Grid<V>::uninitialized(layout.rows(), layout.cols());
+      data_ = grid_.data();
+    } else {
+      data_ = memory_.acquire(idx_.size(), device);
+    }
+  }
+
+  const Layout& layout() const { return idx_.layout(); }
+  V* addr(std::size_t i, std::size_t j) const {
+    return data_ + idx_.flat(i, j);
+  }
+  std::size_t after_front(std::size_t) { return 0; }
+  Grid<V> finish() {
+    if (!in_place_) grid_ = unpack_front_major(data_, idx_);
+    return std::move(grid_);
+  }
+  /// The result Grid, plus the front-major table it is unpacked from.
+  std::size_t peak_bytes() const {
+    return layout().rows() * layout().cols() * sizeof(V) *
+           (in_place_ ? 1 : 2);
+  }
+
+ private:
+  bool in_place_;
+  FrontMajorIndex<Layout> idx_;
+  detail::StoreMemory<V> memory_;
+  Grid<V> grid_;
+  V* data_ = nullptr;
+};
+
+/// A rolling window of the last frontier_window_fronts(layout, deps)
+/// fronts; after_front(f) harvests front f's checkpoint-row and last-row
+/// cells into the FrontierTable that finish() returns. Requires a bounded
+/// window (frontier_window_fronts > 0).
+template <typename V, typename Layout>
+class WindowStore {
+ public:
+  /// `device` null keeps the window in host memory.
+  WindowStore(const Layout& layout, ContributingSet deps, std::size_t K,
+              sim::Device* device = nullptr)
+      : window_{&layout, nullptr, detail::frontier_window_fronts(layout, deps),
+                detail::FrontWindow<V, Layout>::slot_stride(layout)},
+        table_(FrontierTable<V>::checkpointed(layout.rows(), layout.cols(),
+                                              K)) {
+    LDDP_CHECK_MSG(window_.w > 0,
+                   "layout/deps pair has no bounded frontier window");
+    window_.base = memory_.acquire(window_.w * window_.stride, device);
+    peak_bytes_ =
+        table_.resident_bytes() + window_.w * window_.stride * sizeof(V);
+  }
+
+  const Layout& layout() const { return *window_.layout; }
+  V* addr(std::size_t i, std::size_t j) const { return window_.addr(i, j); }
+  std::size_t after_front(std::size_t f) {
+    return detail::harvest_front(
+        table_, layout(), f, layout().rows(), table_.checkpoint_interval(),
+        [this](std::size_t i, std::size_t j) { return window_.addr(i, j); });
+  }
+  FrontierTable<V> finish() { return std::move(table_); }
+  /// Checkpoints, last row and the window.
+  std::size_t peak_bytes() const { return peak_bytes_; }
+
+ private:
+  detail::FrontWindow<V, Layout> window_;
+  detail::StoreMemory<V> memory_;
+  FrontierTable<V> table_;
+  std::size_t peak_bytes_ = 0;
+};
+
+}  // namespace lddp

@@ -10,33 +10,28 @@
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
+#include "core/strategies/frontier_engine.h"
 #include "sim/launch_graph.h"
 #include "sim/memory.h"
-#include "tables/front_major.h"
 
 namespace lddp {
 
-template <LddpProblem P, typename Layout>
-Grid<typename P::Value> solve_gpu(const P& p, const Layout& layout,
-                                  sim::Platform& platform, SolveStats* stats,
-                                  bool fused = true, bool batch = true) {
+/// Per-front kernels over the store's layout. The store (a device-resident
+/// front-major table or rolling window, core/strategies/frontier_engine.h)
+/// must live in `platform`'s device memory; a window store's checkpoint
+/// halos come down after each front (record_halo).
+template <LddpProblem P, typename Store>
+auto solve_gpu(const P& p, Store& store, sim::Platform& platform,
+               SolveStats* stats, bool fused = true, bool batch = true) {
   using V = typename P::Value;
   Stopwatch wall;
-  const std::size_t n = p.rows(), m = p.cols();
+  const auto& layout = store.layout();
   const ContributingSet deps = p.deps();
   const V bound = p.boundary();
   sim::Device& gpu = platform.gpu();
   const auto stream = gpu.default_stream();
-
-  // Every cell of every front is computed before any neighbour read, so
-  // the device table can skip its zero-fill. Fronts are cache-line padded
-  // (tables/front_major.h) for the final host-side unpack.
-  const FrontMajorIndex<Layout> idx(layout, sizeof(V));
-  sim::DeviceBuffer<V> dtable =
-      gpu.template alloc<V>(idx.size(), /*zeroed=*/false);
-  V* const out = dtable.device_ptr();
-  auto addr = [out, &idx](std::size_t i, std::size_t j) {
-    return out + idx.flat(i, j);
+  auto addr = [&store](std::size_t i, std::size_t j) {
+    return store.addr(i, j);
   };
   const sim::KernelInfo info = detail::kernel_info_for(p, "gpu.front");
 
@@ -56,12 +51,15 @@ Grid<typename P::Value> solve_gpu(const P& p, const Layout& layout,
                    detail::run_front_range(p, deps, bound, layout, f, lo, hi,
                                            addr, batch);
                  });
+    // Kernels execute eagerly at record time (sim semantics), so the
+    // finished front can be harvested here.
+    detail::record_halo(graph, stream, store.after_front(f) * sizeof(V));
   }
   graph.replay();
 
-  // Assemble the full host-side table for the caller; the priced download
-  // is what a production consumer would fetch (result_bytes_of).
-  Grid<V> table = unpack_front_major(dtable.device_ptr(), idx);
+  // Assemble the host-side table for the caller; the priced download is
+  // what a production consumer would fetch (result_bytes_of).
+  auto table = store.finish();
   const sim::OpId done = gpu.record_d2h(stream, result_bytes_of(p),
                                         sim::MemoryKind::kPageable);
   platform.cpu_sync(done);
@@ -71,7 +69,8 @@ Grid<typename P::Value> solve_gpu(const P& p, const Layout& layout,
     stats->pattern = classify(deps);
     stats->transfer = TransferNeed::kNone;
     stats->fronts = layout.num_fronts();
-    stats->cells = n * m;
+    stats->cells = p.rows() * p.cols();
+    stats->peak_table_bytes = store.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
   }
   return table;

@@ -115,6 +115,7 @@ Grid<typename P::Value> solve_gpu_tiled(const P& p, sim::Platform& platform,
     stats->transfer = TransferNeed::kNone;
     stats->fronts = sched.num_fronts();
     stats->cells = n * m;
+    stats->peak_table_bytes = n * m * sizeof(V) * 2;  // device table + grid
     detail::finish_stats(*stats, platform, wall.seconds());
   }
   return table;

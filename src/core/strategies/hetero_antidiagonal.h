@@ -12,35 +12,33 @@
 //   Phase 3: the last t_switch fronts run entirely on the CPU again, after
 //            a bulk download of the GPU's part of the two preceding fronts.
 //
-// Both units fill one front-major table (tables/front_major.h) — the CPU
-// owns a prefix of every front, the GPU the suffix — that the host can
-// see, as in the frontier engine's mapped window: every transfer above is
-// priced on the timeline exactly as before, but no cell is copied between
-// host and device twins. The table is unpacked into the row-major result
-// once at the end, so no front ever walks the row-major grid.
+// Both units write one host-visible store (core/strategies/
+// frontier_engine.h) — the CPU owns a prefix of every front, the GPU the
+// suffix: every transfer above is priced on the timeline, but no cell is
+// copied between host and device twins. A window store's checkpoint
+// halos come down after each phase-2 front (record_halo).
 #pragma once
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
+#include "core/strategies/frontier_engine.h"
 #include "core/strategies/heuristics.h"
 #include "sim/launch_graph.h"
-#include "tables/front_major.h"
 
 namespace lddp {
 
-template <LddpProblem P>
-Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
-                                                  sim::Platform& platform,
-                                                  const HeteroParams& user,
-                                                  SolveStats* stats,
-                                                  bool fused = true,
-                                                  bool batch = true) {
+/// `store` is over an AntiDiagonalLayout in `platform`'s device memory.
+template <LddpProblem P, typename Store>
+auto solve_hetero_antidiagonal(const P& p, Store& store,
+                               sim::Platform& platform,
+                               const HeteroParams& user, SolveStats* stats,
+                               bool fused = true, bool batch = true) {
   using V = typename P::Value;
   Stopwatch wall;
   const std::size_t n = p.rows(), m = p.cols();
   const ContributingSet deps = p.deps();
   const V bound = p.boundary();
-  const AntiDiagonalLayout layout(n, m);
+  const AntiDiagonalLayout& layout = store.layout();
   const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
   const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
   const std::size_t num_fronts = layout.num_fronts();
@@ -56,13 +54,8 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
   const std::size_t phase2_begin = ts;
   const std::size_t phase2_end = num_fronts - ts;
 
-  // Every cell is computed before any read of it: no fill needed.
-  const FrontMajorIndex<AntiDiagonalLayout> idx(layout, sizeof(V));
-  sim::DeviceBuffer<V> dtable =
-      gpu.template alloc<V>(idx.size(), /*zeroed=*/false);
-  V* const data = dtable.device_ptr();
-  auto addr = [data, &idx](std::size_t i, std::size_t j) {
-    return data + idx.flat(i, j);
+  auto addr = [&store](std::size_t i, std::size_t j) {
+    return store.addr(i, j);
   };
 
   const auto compute_stream = gpu.default_stream();
@@ -112,8 +105,10 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
   sim::OpId last_gpu = sim::kNoOp;
 
   // ---- Phase 1 ----------------------------------------------------------
-  for (std::size_t d = 0; d < phase2_begin; ++d)
+  for (std::size_t d = 0; d < phase2_begin; ++d) {
     last_cpu = run_cpu(d, layout.front_size(d), sim::kNoOp);
+    store.after_front(d);
+  }
 
   // Phase-2 entry: the GPU will read rows >= s-1 of the two fronts before
   // phase2_begin, which the CPU computed in phase 1. Ship them in bulk.
@@ -165,6 +160,9 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
           },
           h2d_m1);
     }
+    const std::size_t harvested = store.after_front(d);
+    if (c < fs)
+      detail::record_halo(graph, d2h_stream, harvested * sizeof(V), last_gpu);
     h2d_m2 = h2d_m1;
     h2d_m1 = h2d_op;
   }
@@ -192,6 +190,7 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
   for (std::size_t d = phase2_end; d < num_fronts; ++d) {
     last_cpu = run_cpu(d, layout.front_size(d), entry_d2h);
     entry_d2h = sim::kNoOp;  // only the first phase-3 front waits on it
+    store.after_front(d);
   }
 
   // Final download of the GPU-owned region (phase-2 suffixes).
@@ -204,7 +203,7 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
                        sim::MemoryKind::kPageable, last_gpu);
     platform.cpu_sync(fin, last_cpu);
   }
-  Grid<V> table = unpack_front_major(data, idx);
+  auto table = store.finish();
 
   if (stats) {
     stats->mode_used = Mode::kHeterogeneous;
@@ -214,6 +213,7 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
     stats->cells = n * m;
     stats->t_switch = params.t_switch;
     stats->t_share = params.t_share;
+    stats->peak_table_bytes = store.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
   }
   return table;

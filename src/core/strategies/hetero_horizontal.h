@@ -17,24 +17,28 @@
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
+#include "core/strategies/frontier_engine.h"
 #include "core/strategies/heuristics.h"
 #include "sim/launch_graph.h"
 
 namespace lddp {
 
-template <LddpProblem P>
-Grid<typename P::Value> solve_hetero_horizontal(const P& p,
-                                                sim::Platform& platform,
-                                                const HeteroParams& user,
-                                                SolveStats* stats,
-                                                bool fused = true,
-                                                bool batch = true) {
+/// `store` (core/strategies/frontier_engine.h) is over a RowMajorLayout
+/// and host-visible to both units: the boundary cells each unit reads from
+/// the other's strip are already in it, so the transfers below are priced,
+/// never performed. A window store's checkpoint halos come down after each
+/// row with GPU cells.
+template <LddpProblem P, typename Store>
+auto solve_hetero_horizontal(const P& p, Store& store,
+                             sim::Platform& platform,
+                             const HeteroParams& user, SolveStats* stats,
+                             bool fused = true, bool batch = true) {
   using V = typename P::Value;
   Stopwatch wall;
   const std::size_t n = p.rows(), m = p.cols();
   const ContributingSet deps = p.deps();
   const V bound = p.boundary();
-  const RowMajorLayout layout(n, m);
+  const RowMajorLayout& layout = store.layout();
   const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
   const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
 
@@ -52,7 +56,6 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
   const bool cpu_to_gpu = deps.has_nw() && s > 0 && s < m;
   const bool gpu_to_cpu = deps.has_ne() && s > 0 && s < m;
   const bool two_way = cpu_to_gpu && gpu_to_cpu;
-  const double cpu_extra_seconds = 0.0;
   if (two_way) {
     // Zero-copy mapped pinned boundary: the GPU's kernels reach across
     // PCIe for the mapped cells (latency amortized by warp switching);
@@ -60,10 +63,13 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
     info.extra_us = platform.spec().gpu.mapped_access_overhead_us;
   }
 
-  Grid<V> table(n, m);
-  sim::DeviceBuffer<V> dtable = gpu.template alloc<V>(layout.size());
-  detail::GridReader<V> hread{&table};
-  detail::DeviceReader<V, RowMajorLayout> dread{dtable.device_ptr(), &layout};
+  auto addr = [&store](std::size_t i, std::size_t j) {
+    return store.addr(i, j);
+  };
+  // Cells [lo, hi) of row i.
+  auto run_row_range = [&](std::size_t i, std::size_t lo, std::size_t hi) {
+    detail::run_front_range(p, deps, bound, layout, i, lo, hi, addr, batch);
+  };
 
   const auto compute_stream = gpu.default_stream();
   const auto h2d_stream = gpu.create_stream();
@@ -98,88 +104,46 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
       // In two-way mode the CPU's rightmost cell reads NE from the GPU's
       // previous row (mapped); in one-way GPU->CPU mode it waits for the
       // pipelined boundary copy of the previous row.
-      const sim::OpId dep = two_way ? gpu_m1 : (gpu_to_cpu ? d2h_m1 : sim::kNoOp);
-      if (gpu_to_cpu && i > 0) {
-        // Real data movement for the NE read: GPU boundary cell (i-1, s).
-        table.at(i - 1, s) = dtable.device_ptr()[layout.flat(i - 1, s)];
-      }
       sim::Platform::CpuFrontOpts opts;
       opts.parallel = cpu_parallel;
       opts.streamed = true;
-      opts.extra_seconds = cpu_extra_seconds;
-      opts.dep1 = dep;
-      if (use_batch) {
-        cpu_op = platform.cpu_front(
-            std::min(s, m), work,
-            [&, i](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(
-                  p, deps, bound, layout, i, lo, hi,
-                  [&table](std::size_t ii, std::size_t jj) {
-                    return &table.at(ii, jj);
-                  },
-                  /*batch=*/true);
-            },
-            opts);
-      } else {
-        cpu_op = platform.cpu_front(
-            std::min(s, m), work,
-            [&, i](std::size_t j) {
-              table.at(i, j) =
-                  detail::compute_cell(p, deps, bound, i, j, m, hread);
-            },
-            opts);
-      }
+      opts.dep1 = two_way ? gpu_m1 : (gpu_to_cpu ? d2h_m1 : sim::kNoOp);
+      cpu_op = platform.cpu_front(
+          std::min(s, m), work,
+          [&, i](std::size_t lo, std::size_t hi) { run_row_range(i, lo, hi); },
+          opts);
       last_cpu = cpu_op;
     }
 
-    // --- boundary CPU->GPU ----------------------------------------------
+    // --- boundary CPU->GPU (one-way pipelined variant) -------------------
     sim::OpId h2d_op = sim::kNoOp;
-    if (cpu_to_gpu) {
-      dtable.device_ptr()[layout.flat(i, s - 1)] = table.at(i, s - 1);
-      if (!two_way) {
-        h2d_op = graph.record_h2d(h2d_stream, sizeof(V),
-                                  sim::MemoryKind::kPinned, cpu_op);
-      }
-    }
+    if (cpu_to_gpu && !two_way)
+      h2d_op = graph.record_h2d(h2d_stream, sizeof(V),
+                                sim::MemoryKind::kPinned, cpu_op);
 
     // --- GPU segment: cells (i, s..m) ------------------------------------
     sim::OpId gpu_op = sim::kNoOp;
     if (s < m) {
-      const sim::OpId dep = two_way ? cpu_m1 : (cpu_to_gpu ? h2d_m1 : sim::kNoOp);
-      const std::size_t base = layout.front_offset(i) + s;
-      V* out = dtable.device_ptr();
-      if (use_batch) {
-        gpu_op = graph.launch(
-            compute_stream, info, m - s,
-            [&, i, out](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(
-                  p, deps, bound, layout, i, s + lo, s + hi,
-                  [out, &layout](std::size_t ii, std::size_t jj) {
-                    return out + layout.flat(ii, jj);
-                  },
-                  /*batch=*/true);
-            },
-            dep);
-      } else {
-        gpu_op = graph.launch(
-            compute_stream, info, m - s,
-            [&, i, base, out](std::size_t k) {
-              out[base + k] =
-                  detail::compute_cell(p, deps, bound, i, s + k, m, dread);
-            },
-            dep);
-      }
+      const sim::OpId dep =
+          two_way ? cpu_m1 : (cpu_to_gpu ? h2d_m1 : sim::kNoOp);
+      gpu_op = graph.launch(
+          compute_stream, info, m - s,
+          [&, i](std::size_t lo, std::size_t hi) {
+            run_row_range(i, s + lo, s + hi);
+          },
+          dep);
       last_gpu = gpu_op;
     }
 
     // --- boundary GPU->CPU (one-way pipelined variant) -------------------
     sim::OpId d2h_op = sim::kNoOp;
-    if (gpu_to_cpu && !two_way) {
-      // The actual copy happens lazily at the top of the next iteration;
-      // here we schedule its simulated cost behind the kernel.
+    if (gpu_to_cpu && !two_way)
       d2h_op = graph.record_d2h(d2h_stream, sizeof(V),
                                 sim::MemoryKind::kPinned, gpu_op);
-    }
+
+    const std::size_t harvested = store.after_front(i);
+    if (s < m)
+      detail::record_halo(graph, d2h_stream, harvested * sizeof(V), gpu_op);
 
     h2d_m1 = h2d_op;
     d2h_m1 = d2h_op;
@@ -193,13 +157,13 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
 
   // Final download of the GPU strip.
   {
-    detail::unpack_table(dtable.device_ptr(), layout, table, s, m);
     const std::size_t bytes = n * (m - s) * sizeof(V);
     const sim::OpId fin =
         gpu.record_d2h(d2h_stream, std::min(bytes, result_bytes_of(p)),
                        sim::MemoryKind::kPageable, last_gpu);
     platform.cpu_sync(fin, last_cpu);
   }
+  auto table = store.finish();
 
   if (stats) {
     stats->mode_used = Mode::kHeterogeneous;
@@ -209,6 +173,7 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
     stats->cells = n * m;
     stats->t_switch = 0;
     stats->t_share = params.t_share;
+    stats->peak_table_bytes = store.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
   }
   return table;

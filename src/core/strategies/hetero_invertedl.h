@@ -111,6 +111,7 @@ Grid<typename P::Value> solve_cpu_invertedl(const P& p,
     stats->transfer = TransferNeed::kNone;
     stats->fronts = layout.num_fronts();
     stats->cells = n * m;
+    stats->peak_table_bytes = n * m * sizeof(V);
     detail::finish_stats(*stats, platform, wall.seconds());
   }
   return table;
@@ -183,6 +184,7 @@ Grid<typename P::Value> solve_gpu_invertedl(const P& p,
     stats->transfer = TransferNeed::kNone;
     stats->fronts = layout.num_fronts();
     stats->cells = n * m;
+    stats->peak_table_bytes = n * m * sizeof(V) * 2;  // device table + grid
     detail::finish_stats(*stats, platform, wall.seconds());
   }
   return table;
@@ -422,6 +424,7 @@ Grid<typename P::Value> solve_hetero_invertedl(const P& p,
     stats->transfer = transfer_need(deps);
     stats->fronts = num_shells;
     stats->cells = n * m;
+    stats->peak_table_bytes = n * m * sizeof(V) * 2;  // device twin + grid
     stats->t_switch = params.t_switch;
     stats->t_share = params.t_share;
     detail::finish_stats(*stats, platform, wall.seconds());

@@ -12,34 +12,33 @@
 // cells (Section IV-C2): no copy-engine operations, direct cross-unit
 // dependencies, and a small mapped-access surcharge on both units.
 //
-// As in the anti-diagonal strategy, both units fill one host-visible
-// front-major table (the CPU's column strip is a prefix of every front,
-// the GPU's part the suffix), transfers are priced but no cell is mirrored
-// between host and device twins, and the table is unpacked into the
-// row-major result once.
+// As in the anti-diagonal strategy, both units write one host-visible
+// store (the CPU's column strip is a prefix of every front, the GPU's part
+// the suffix): transfers are priced but no cell is mirrored between host
+// and device twins, and a window store's checkpoint halos come down after
+// each phase-2 front.
 #pragma once
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
+#include "core/strategies/frontier_engine.h"
 #include "core/strategies/heuristics.h"
 #include "sim/launch_graph.h"
-#include "tables/front_major.h"
 
 namespace lddp {
 
-template <LddpProblem P>
-Grid<typename P::Value> solve_hetero_knightmove(const P& p,
-                                                sim::Platform& platform,
-                                                const HeteroParams& user,
-                                                SolveStats* stats,
-                                                bool fused = true,
-                                                bool batch = true) {
+/// `store` is over a KnightMoveLayout in `platform`'s device memory.
+template <LddpProblem P, typename Store>
+auto solve_hetero_knightmove(const P& p, Store& store,
+                             sim::Platform& platform,
+                             const HeteroParams& user, SolveStats* stats,
+                             bool fused = true, bool batch = true) {
   using V = typename P::Value;
   Stopwatch wall;
   const std::size_t n = p.rows(), m = p.cols();
   const ContributingSet deps = p.deps();
   const V bound = p.boundary();
-  const KnightMoveLayout layout(n, m);
+  const KnightMoveLayout& layout = store.layout();
   const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
   const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
   const std::size_t num_fronts = layout.num_fronts();
@@ -65,13 +64,8 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
   const double cpu_extra_seconds = 0.0;
   if (split) info.extra_us = platform.spec().gpu.mapped_access_overhead_us;
 
-  // Every cell is computed before any read of it: no fill needed.
-  const FrontMajorIndex<KnightMoveLayout> idx(layout, sizeof(V));
-  sim::DeviceBuffer<V> dtable =
-      gpu.template alloc<V>(idx.size(), /*zeroed=*/false);
-  V* const data = dtable.device_ptr();
-  auto addr = [data, &idx](std::size_t i, std::size_t j) {
-    return data + idx.flat(i, j);
+  auto addr = [&store](std::size_t i, std::size_t j) {
+    return store.addr(i, j);
   };
 
   const auto compute_stream = gpu.default_stream();
@@ -128,8 +122,10 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
   sim::OpId last_cpu = sim::kNoOp, last_gpu = sim::kNoOp;
 
   // ---- Phase 1 ----------------------------------------------------------
-  for (std::size_t t = 0; t < phase2_begin; ++t)
+  for (std::size_t t = 0; t < phase2_begin; ++t) {
     last_cpu = run_cpu(t, layout.front_size(t), sim::kNoOp, 0.0);
+    store.after_front(t);
+  }
 
   // Phase-2 entry: the GPU reads columns >= s-1 of the three preceding
   // fronts (W and NE from t-1, N from t-2, NW from t-3), all CPU-computed.
@@ -175,6 +171,9 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
           cpu_prev);
       entry_h2d = sim::kNoOp;  // only the first kernel waits on the bulk
     }
+    const std::size_t harvested = store.after_front(t);
+    if (c < fs)
+      detail::record_halo(graph, d2h_stream, harvested * sizeof(V), last_gpu);
 
     gpu_m1 = last_gpu;
   }
@@ -202,6 +201,7 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
   for (std::size_t t = phase2_end; t < num_fronts; ++t) {
     last_cpu = run_cpu(t, layout.front_size(t), entry_d2h, 0.0);
     entry_d2h = sim::kNoOp;
+    store.after_front(t);
   }
 
   // Final download of the GPU-owned region.
@@ -214,7 +214,7 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
                        sim::MemoryKind::kPageable, last_gpu);
     platform.cpu_sync(fin, last_cpu);
   }
-  Grid<V> table = unpack_front_major(data, idx);
+  auto table = store.finish();
 
   if (stats) {
     stats->mode_used = Mode::kHeterogeneous;
@@ -224,6 +224,7 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
     stats->cells = n * m;
     stats->t_switch = params.t_switch;
     stats->t_share = params.t_share;
+    stats->peak_table_bytes = store.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
   }
   return table;

@@ -293,6 +293,7 @@ Grid<typename P::Value> solve_hetero_tiled(const P& p, sim::Platform& platform,
     stats->transfer = transfer_need(deps);
     stats->fronts = num_fronts;
     stats->cells = n * m;
+    stats->peak_table_bytes = n * m * sizeof(V) * 2;  // device twin + grid
     stats->t_switch = static_cast<long long>(ts * sched.tile());
     stats->t_share = static_cast<long long>(s * sched.tile());
     detail::finish_stats(*stats, platform, wall.seconds());

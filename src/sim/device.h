@@ -127,14 +127,16 @@ class Device {
     return enqueue_copy(stream, h2d_res_, bytes, kind, extra_dep, "h2d");
   }
 
-  /// Device-to-host counterpart of record_h2d.
+  /// Device-to-host counterpart of record_h2d. `label` names the op on
+  /// the timeline (the frontier tier's checkpoint halos are told apart
+  /// from the strategies' own downloads by it).
   OpId record_d2h(StreamId stream, std::size_t bytes, MemoryKind kind,
-                  OpId extra_dep = kNoOp) {
+                  OpId extra_dep = kNoOp, const char* label = "d2h") {
     if (bytes == 0) return last_op(stream);
     fault::maybe_throw(fault::Site::kTransferD2H, bytes);
     stats_.d2h_bytes += bytes;
     ++stats_.d2h_copies;
-    return enqueue_copy(stream, d2h_res_, bytes, kind, extra_dep, "d2h");
+    return enqueue_copy(stream, d2h_res_, bytes, kind, extra_dep, label);
   }
 
   /// Launches `body(cell)` for cell in [0, num_cells) — thread-per-cell, the

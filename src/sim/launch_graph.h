@@ -125,14 +125,15 @@ class LaunchGraph {
 
   /// Device::record_d2h, graph-aware.
   OpId record_d2h(Device::StreamId stream, std::size_t bytes, MemoryKind kind,
-                  OpId extra_dep = kNoOp) {
-    if (!fused_) return dev_->record_d2h(stream, bytes, kind, extra_dep);
+                  OpId extra_dep = kNoOp, const char* label = "d2h") {
+    if (!fused_)
+      return dev_->record_d2h(stream, bytes, kind, extra_dep, label);
     if (bytes == 0) return last_op(stream);
     fault::maybe_throw(fault::Site::kTransferD2H, bytes);
     dev_->stats_.d2h_bytes += bytes;
     ++dev_->stats_.d2h_copies;
     const double wire = transfer_exec_seconds(dev_->spec_, bytes, kind);
-    return add_node(stream, dev_->d2h_res_, wire, wire, extra_dep, "d2h");
+    return add_node(stream, dev_->d2h_res_, wire, wire, extra_dep, label);
   }
 
   /// Device::stream_wait, graph-aware: the next node on `stream` also waits

@@ -19,6 +19,7 @@
 #include "problems/floyd_steinberg.h"
 #include "problems/lcs.h"
 #include "problems/levenshtein.h"
+#include "problems/synthetic.h"
 #include "tables/front_major.h"
 
 namespace lddp {
@@ -209,6 +210,46 @@ TEST(FrontMajorSolveTest, DiagonalCpuWavefrontsReportTheStagingTable) {
   cfg.mode = Mode::kCpuParallel;
   const auto r = solve(p, cfg);
   EXPECT_EQ(r.stats.peak_table_bytes, 2 * 100 * 150 * sizeof(int));
+}
+
+// Full-tier table high-water per mode x pattern, as reported by the store
+// or the full-table strategy: the result grid (1x), plus the front-major
+// table it is unpacked from or the device twin (2x). Row fronts on the
+// host — CPU wavefronts and the heterogeneous row split — fill the grid
+// in place.
+TEST(FrontMajorSolveTest, PeakTableBytesPerModeAndPattern) {
+  constexpr std::size_t n = 40, m = 70;
+  struct Row {
+    int mask;
+    Pattern pattern;
+    int serial, cpu, tiled, gpu, hetero;  // multiples of the grid
+  };
+  const Row rows[] = {
+      {0b0101, Pattern::kAntiDiagonal, 1, 2, 1, 2, 2},  // W + N
+      {0b0100, Pattern::kHorizontal, 1, 1, 1, 2, 1},    // N
+      {0b1001, Pattern::kKnightMove, 1, 2, 1, 2, 2},    // W + NE
+      {0b0010, Pattern::kInvertedL, 1, 1, 1, 2, 2},     // NW
+  };
+  for (const Row& row : rows) {
+    const ContributingSet deps(static_cast<std::uint8_t>(row.mask));
+    ASSERT_EQ(classify(deps), row.pattern);
+    const auto p = problems::make_function_problem<int>(
+        n, m, deps, 1,
+        [](std::size_t i, std::size_t j, const Neighbors<int>& nb) {
+          return static_cast<int>(i * 31 + j) ^ nb.w ^ nb.nw ^ nb.n ^ nb.ne;
+        });
+    const std::pair<Mode, int> expected[] = {
+        {Mode::kCpuSerial, row.serial}, {Mode::kCpuParallel, row.cpu},
+        {Mode::kCpuTiled, row.tiled},   {Mode::kGpu, row.gpu},
+        {Mode::kHeterogeneous, row.hetero}};
+    for (const auto& [mode, times] : expected) {
+      RunConfig cfg;
+      cfg.mode = mode;
+      EXPECT_EQ(solve(p, cfg).stats.peak_table_bytes,
+                static_cast<std::size_t>(times) * n * m * sizeof(int))
+          << to_string(row.pattern) << " " << to_string(mode);
+    }
+  }
 }
 
 // Transfer accounting of the heterogeneous strategies: the byte and copy

@@ -98,8 +98,8 @@ TEST_P(FrontierAllSetsTest, AllModesMatchFullTable) {
 }
 
 // Storage::kFull routes through the classic solve behind the facade and
-// must also be bit-identical; kAuto currently resolves to the frontier
-// tier for every canonical pattern.
+// must also be bit-identical in every mode; kAuto currently resolves to
+// the frontier tier for every canonical pattern.
 TEST_P(FrontierAllSetsTest, FullTierFacadeMatches) {
   const Case c = GetParam();
   const auto probe = make_probe(c);
@@ -108,16 +108,22 @@ TEST_P(FrontierAllSetsTest, FullTierFacadeMatches) {
   ref_cfg.mode = Mode::kCpuSerial;
   const auto ref = solve(probe, ref_cfg);
 
-  RunConfig cfg;
-  cfg.mode = Mode::kCpuSerial;
-  cfg.storage = Storage::kFull;
-  const auto full = solve_frontier(probe, cfg);
-  EXPECT_FALSE(full.table.frontier());
-  expect_all_cells_equal(full.table, ref.table, "full facade");
+  const Mode modes[] = {Mode::kCpuSerial, Mode::kCpuParallel, Mode::kGpu,
+                        Mode::kHeterogeneous, Mode::kAuto};
+  for (const Mode mode : modes) {
+    RunConfig cfg;
+    cfg.mode = mode;
+    cfg.storage = Storage::kFull;
+    const auto full = solve_frontier(probe, cfg);
+    EXPECT_FALSE(full.table.frontier()) << to_string(mode);
+    expect_all_cells_equal(full.table, ref.table,
+                           "full facade mode=" + to_string(mode));
 
-  cfg.storage = Storage::kAuto;
-  const auto aut = solve_frontier(probe, cfg);
-  expect_all_cells_equal(aut.table, ref.table, "auto tier");
+    cfg.storage = Storage::kAuto;
+    const auto aut = solve_frontier(probe, cfg);
+    expect_all_cells_equal(aut.table, ref.table,
+                           "auto tier mode=" + to_string(mode));
+  }
 }
 
 std::vector<Case> all_cases() {

@@ -117,7 +117,9 @@ TEST(HeteroHorizontalTest, Case1CpuOpsRunBackToBackOnTheTimeline) {
   const auto p = horizontal_probe(kNW | kN, 200, 200);
   sim::Platform platform(sim::PlatformSpec::hetero_high());
   SolveStats stats;
-  solve_hetero_horizontal(p, platform, HeteroParams{0, 50}, &stats);
+  const RowMajorLayout rows(200, 200);
+  FullStore<V, RowMajorLayout> store(rows);
+  solve_hetero_horizontal(p, store, platform, HeteroParams{0, 50}, &stats);
   const sim::Timeline& tl = platform.timeline();
   double prev_end = -1.0;
   std::size_t cpu_ops = 0;
@@ -136,7 +138,8 @@ TEST(HeteroHorizontalTest, Case1CpuOpsRunBackToBackOnTheTimeline) {
   // boundary each row.
   const auto p2 = horizontal_probe(kNW | kN | kNE, 200, 200);
   sim::Platform platform2(sim::PlatformSpec::hetero_high());
-  solve_hetero_horizontal(p2, platform2, HeteroParams{0, 50}, &stats);
+  FullStore<V, RowMajorLayout> store2(rows);
+  solve_hetero_horizontal(p2, store2, platform2, HeteroParams{0, 50}, &stats);
   const sim::Timeline& tl2 = platform2.timeline();
   prev_end = -1.0;
   int gaps = 0;

@@ -51,8 +51,10 @@ TEST(HeteroInvertedLTest, RowMajorStoragePenalizesGpu) {
 
   sim::Platform coalesced(sim::PlatformSpec::hetero_high());
   SolveStats coalesced_stats;
-  const auto b = solve_gpu(p, ShellLayout(p.rows(), p.cols()), coalesced,
-                           &coalesced_stats);
+  const ShellLayout shells(p.rows(), p.cols());
+  FullStore<problems::MaxNwProblem::Value, ShellLayout> store(
+      shells, &coalesced.gpu());
+  const auto b = solve_gpu(p, store, coalesced, &coalesced_stats);
 
   EXPECT_EQ(a, b);  // identical results, different layouts
   EXPECT_GT(strided_stats.sim_seconds, coalesced_stats.sim_seconds);
