@@ -409,7 +409,6 @@ BatchReport BatchEngine::build_report(
     item.sim_latency = item.sim_end;  // every request arrives at t = 0
     latencies.push_back(item.sim_latency);
     report.serial_sim_seconds += item.solve.sim_seconds;
-    if (jobs[j]->batch_kernels) ++report.batch_kernel_solves;
     report.retry_attempts += jobs[j]->retries;
     switch (jobs[j]->outcome) {
       case chaos::RequestOutcome::kOk:

@@ -10,6 +10,11 @@
 //
 //  * submit() admits a request through a bounded queue (reject-or-wait
 //    backpressure) and returns a future for its bit-exact SolveResult;
+//    submit_frontier() is the same request path on the frontier storage
+//    tier (one admission template and one lane-job body serve both
+//    tiers; the tier only picks the store and the tier's rules);
+//  * small CPU requests of one solve class run as lane cohorts, one SIMD
+//    lane per solve (core/lane_cohort.h), priced as solo serial scans;
 //  * worker threads execute admitted solves concurrently for real — their
 //    parallel fronts share one engine-owned work-stealing executor — and
 //    each solve gets a per-solve quota view of the shared BufferPool arenas;
@@ -130,7 +135,9 @@ struct BatchConfig {
   /// tile = -1) through the engine's cross-solve TunerCache: the first
   /// request of an equivalence class pays one tuning sweep, later ones
   /// reuse it. Off by default — sweeps multiply solve work, so callers
-  /// opt in (lddp_cli --tune in batch mode does).
+  /// opt in (lddp_cli --tune in batch mode does). Full tier (submit) only:
+  /// tuning sweeps run full-table solves, which would break the frontier
+  /// tier's memory bound.
   bool tune_auto = false;
   // --- request lifecycle (tentpole of the robustness layer) --------------
   /// Default per-request *simulated-time* deadline in milliseconds,
@@ -206,11 +213,6 @@ struct BatchReport {
   std::size_t packs = 0;            ///< multi-tenant launches emitted
   std::size_t packed_ops = 0;       ///< rider segments re-priced in packs
   double pack_saved_seconds = 0.0;  ///< submission time amortized away
-  /// Requests in this batch that ran with RunConfig::batch_kernels on
-  /// (vectorized batch-front cell kernels). Affects real wall-clock and,
-  /// through the calibrated vector-throughput term, the simulated CPU
-  /// speed — never results.
-  std::size_t batch_kernel_solves = 0;
   // Inter-solve lane packing outcome of this batch (real execution;
   // results are unchanged, wall-clock throughput is what moves).
   std::size_t lane_eligible_solves = 0;  ///< submitted lane-eligible
@@ -290,25 +292,17 @@ inline const char* degrade(RunConfig& rc, std::size_t rung) {
 /// tables would just burn cache.
 inline constexpr std::size_t kLaneMaxCells = 2'097'152;
 
-/// Everything a lane-packed job needs at cohort-execution time. Owned by
-/// the job as a type-erased shared_ptr; the lane_exec fn pointer (bound
-/// to the problem type at submit()) casts it back.
-template <LddpProblem P>
+/// Everything a lane-packed job on storage tier kTier needs at
+/// cohort-execution time. Owned by the job as a type-erased shared_ptr;
+/// the lane_exec fn pointer (bound to the tier and problem type at
+/// admission) casts it back. The problem is shared, because a fulfilled
+/// FrontierTable's remat callback keeps reading it after the engine drops
+/// the job.
+template <Storage kTier, LddpProblem P>
 struct LanePayload {
-  P problem;
-  RunConfig rc;
-  std::shared_ptr<std::promise<SolveResult<P>>> promise;
-  sim::PlatformSpec platform;
-};
-
-/// Frontier-storage lane payload: the problem is shared, because the
-/// fulfilled FrontierTable's remat callback keeps reading it after the
-/// engine drops the job.
-template <LddpProblem P>
-struct FrontierLanePayload {
   std::shared_ptr<const P> problem;
   RunConfig rc;
-  std::shared_ptr<std::promise<FrontierSolveResult<P>>> promise;
+  std::shared_ptr<std::promise<TierResult<kTier, P>>> promise;
   sim::PlatformSpec platform;
 };
 
@@ -363,73 +357,7 @@ class BatchEngine {
   template <LddpProblem P>
   std::optional<std::future<SolveResult<P>>> submit(
       P problem, RunConfig rc, const chaos::RequestOptions& opts) {
-    LDDP_CHECK_MSG(opts.weight > 0.0, "batch weight must be positive");
-    auto promise = std::make_shared<std::promise<SolveResult<P>>>();
-    std::future<SolveResult<P>> future = promise->get_future();
-    auto job = std::make_unique<Job>();
-    job->weight = opts.weight;
-    const double deadline_ms =
-        opts.deadline_ms < 0.0 ? cfg_.deadline_ms : opts.deadline_ms;
-    job->deadline_s = deadline_ms > 0.0 ? deadline_ms * 1e-3 : 0.0;
-    job->max_retries = opts.max_retries < 0
-                           ? cfg_.max_retries
-                           : static_cast<std::size_t>(opts.max_retries);
-    job->chaos_plan = cfg_.chaos;
-    job->cancel = opts.cancel;
-    job->est = detail::estimate_solve_seconds(
-        cfg_.platform, work_profile_of(problem),
-        problem.rows() * problem.cols());
-    job->packable =
-        rc.pack_solves == -1 ? cfg_.pack_solves : rc.pack_solves != 0;
-    job->batch_kernels = rc.batch_kernels;
-    job->est_table_bytes =
-        detail::estimate_table_bytes(problem, rc, /*frontier=*/false);
-    // Lane packing: small CPU-resolved requests become cohort-groupable
-    // lane jobs, executed by lane_exec over the whole cohort instead of
-    // job->run. Eligibility is a pure function of the request (never of
-    // what else is in flight), so the recorded timeline — serial-scan
-    // pricing, the reference mode for lane cohorts — is deterministic.
-    const std::size_t cells = problem.rows() * problem.cols();
-    const Mode resolved = detail::resolve_auto(rc.mode, cells);
-    if (lane_limit() > 1 && rc.batch_kernels &&
-        (resolved == Mode::kCpuSerial || resolved == Mode::kCpuParallel) &&
-        cells <= detail::kLaneMaxCells) {
-      job->lane_key = make_solve_class_key(problem, rc).token();
-      job->lane_exec = &BatchEngine::lane_exec_impl<P>;
-      job->lane_payload = std::make_shared<detail::LanePayload<P>>(
-          detail::LanePayload<P>{std::move(problem), rc, promise,
-                                 cfg_.platform});
-      if (!admit(std::move(job))) return std::nullopt;
-      return future;
-    }
-    job->run = [problem = std::move(problem), rc, promise,
-                platform = cfg_.platform, tune_auto = cfg_.tune_auto,
-                tuner = &tuner_cache_,
-                backoff_s = cfg_.retry_backoff_ms * 1e-3](
-                   Job& j, cpu::ThreadPool* pool,
-                   sim::BufferPool* buffers) mutable {
-      rc.platform = platform;
-      rc.pool = pool;
-      rc.buffer_pool = buffers;
-      // Cross-solve tuning cache: auto-parameter heterogeneous requests
-      // reuse one sweep per equivalence class (first contact pays it).
-      // Resolved once, before the attempt loop and outside any fault
-      // scope — tuning sweeps are shared infrastructure, never faulted.
-      if (tune_auto &&
-          detail::resolve_auto(rc.mode, problem.rows() * problem.cols()) ==
-              Mode::kHeterogeneous &&
-          rc.hetero.t_switch < 0 && rc.hetero.t_share < 0) {
-        const TunerCache::Entry tuned = tuner->lookup_or_tune(problem, rc);
-        rc.hetero = tuned.params;
-        if (rc.tile == -1) rc.tile = tuned.tile;
-      }
-      rc.trace_path.clear();
-      run_lifecycle<SolveResult<P>>(
-          j, *promise, rc, backoff_s,
-          [&](const RunConfig& arc) { return solve(problem, arc); });
-    };
-    if (!admit(std::move(job))) return std::nullopt;
-    return future;
+    return submit_on<Storage::kFull>(std::move(problem), std::move(rc), opts);
   }
 
   /// Frontier-storage admission: like submit(), but the future resolves
@@ -438,61 +366,14 @@ class BatchEngine {
   /// meters the frontier tier's resident bytes, so far more solves of a
   /// given size fit in flight. Lane-eligible requests have NO cell cap on
   /// this path: kLaneMaxCells exists to bound interleaved full tables,
-  /// and frontier lanes roll two rows each. The engine shares ownership
-  /// of the problem with the returned table (its remat callback reads the
-  /// problem on every interior access).
+  /// and frontier lanes keep one or two rows each. The engine shares
+  /// ownership of the problem with the returned table (its remat callback
+  /// reads the problem on every interior access).
   template <LddpProblem P>
   std::optional<std::future<FrontierSolveResult<P>>> submit_frontier(
       P problem, RunConfig rc = {}, const chaos::RequestOptions& opts = {}) {
-    LDDP_CHECK_MSG(opts.weight > 0.0, "batch weight must be positive");
-    auto promise =
-        std::make_shared<std::promise<FrontierSolveResult<P>>>();
-    std::future<FrontierSolveResult<P>> future = promise->get_future();
-    auto job = std::make_unique<Job>();
-    job->weight = opts.weight;
-    const double deadline_ms =
-        opts.deadline_ms < 0.0 ? cfg_.deadline_ms : opts.deadline_ms;
-    job->deadline_s = deadline_ms > 0.0 ? deadline_ms * 1e-3 : 0.0;
-    job->max_retries = opts.max_retries < 0
-                           ? cfg_.max_retries
-                           : static_cast<std::size_t>(opts.max_retries);
-    job->chaos_plan = cfg_.chaos;
-    job->cancel = opts.cancel;
-    job->est = detail::estimate_solve_seconds(
-        cfg_.platform, work_profile_of(problem),
-        problem.rows() * problem.cols());
-    job->packable =
-        rc.pack_solves == -1 ? cfg_.pack_solves : rc.pack_solves != 0;
-    job->batch_kernels = rc.batch_kernels;
-    job->est_table_bytes =
-        detail::estimate_table_bytes(problem, rc, /*frontier=*/true);
-    const std::size_t cells = problem.rows() * problem.cols();
-    const Mode resolved = detail::resolve_auto(rc.mode, cells);
-    auto sp = std::make_shared<const P>(std::move(problem));
-    if (rc.storage != Storage::kFull && lane_limit() > 1 &&
-        rc.batch_kernels &&
-        (resolved == Mode::kCpuSerial || resolved == Mode::kCpuParallel)) {
-      job->lane_key = make_solve_class_key(*sp, rc).token() + "|frontier";
-      job->lane_exec = &BatchEngine::lane_exec_frontier_impl<P>;
-      job->lane_payload = std::make_shared<detail::FrontierLanePayload<P>>(
-          detail::FrontierLanePayload<P>{sp, rc, promise, cfg_.platform});
-      if (!admit(std::move(job))) return std::nullopt;
-      return future;
-    }
-    job->run = [sp, rc, promise, platform = cfg_.platform,
-                backoff_s = cfg_.retry_backoff_ms * 1e-3](
-                   Job& j, cpu::ThreadPool* pool,
-                   sim::BufferPool* buffers) mutable {
-      rc.platform = platform;
-      rc.pool = pool;
-      rc.buffer_pool = buffers;
-      rc.trace_path.clear();
-      run_lifecycle<FrontierSolveResult<P>>(
-          j, *promise, rc, backoff_s,
-          [&](const RunConfig& arc) { return solve_frontier(sp, arc); });
-    };
-    if (!admit(std::move(job))) return std::nullopt;
-    return future;
+    return submit_on<Storage::kFrontier>(std::move(problem), std::move(rc),
+                                         opts);
   }
 
   /// Number of requests waiting for a slot right now (diagnostics).
@@ -512,7 +393,6 @@ class BatchEngine {
     /// while the job is in flight.
     std::size_t est_table_bytes = 0;
     bool packable = true;  // eligible for cross-solve packing in the merge
-    bool batch_kernels = true;  // request ran with batch-front cell kernels
     std::function<void(Job&, cpu::ThreadPool*, sim::BufferPool*)> run;
     sim::Timeline recorded;  // the solve's private simulated schedule
     SolveStats stats;
@@ -624,27 +504,122 @@ class BatchEngine {
     promise.set_exception(last_error);
   }
 
-  /// Executes one cohort of same-class lane jobs (size >= 1): solves them
-  /// in SIMD lockstep, prices each exactly like a solo serial scan, and
-  /// fulfils every promise. A cohort-level failure — an injected
-  /// lane-kernel fault, a lane's cancellation observed mid-row, a genuine
-  /// error — re-runs each lane alone on the injection-free per-solve
-  /// sweep, so one poisoned request can degrade but never fail its
-  /// cohort-mates. Lane degradation charges NO backoff: each lane's
-  /// recorded timeline stays the pure solo serial-scan pricing, so the
-  /// merged report remains independent of racy cohort formation.
-  template <LddpProblem P>
+  /// Admission on storage tier kTier, behind submit() (kFull) and
+  /// submit_frontier() (kFrontier).
+  template <Storage kTier, LddpProblem P>
+  std::optional<std::future<detail::TierResult<kTier, P>>> submit_on(
+      P problem, RunConfig rc, const chaos::RequestOptions& opts) {
+    using Result = detail::TierResult<kTier, P>;
+    constexpr bool kFrontier = kTier == Storage::kFrontier;
+    LDDP_CHECK_MSG(opts.weight > 0.0, "batch weight must be positive");
+    auto promise = std::make_shared<std::promise<Result>>();
+    std::future<Result> future = promise->get_future();
+    auto job = std::make_unique<Job>();
+    job->weight = opts.weight;
+    const double deadline_ms =
+        opts.deadline_ms < 0.0 ? cfg_.deadline_ms : opts.deadline_ms;
+    job->deadline_s = deadline_ms > 0.0 ? deadline_ms * 1e-3 : 0.0;
+    job->max_retries = opts.max_retries < 0
+                           ? cfg_.max_retries
+                           : static_cast<std::size_t>(opts.max_retries);
+    job->chaos_plan = cfg_.chaos;
+    job->cancel = opts.cancel;
+    const std::size_t cells = problem.rows() * problem.cols();
+    job->est = detail::estimate_solve_seconds(
+        cfg_.platform, work_profile_of(problem), cells);
+    job->packable =
+        rc.pack_solves == -1 ? cfg_.pack_solves : rc.pack_solves != 0;
+    job->est_table_bytes =
+        detail::estimate_table_bytes(problem, rc, kFrontier);
+    auto sp = std::make_shared<const P>(std::move(problem));
+    // Lane packing: small CPU-resolved requests become cohort-groupable
+    // lane jobs, executed by lane_exec over the whole cohort instead of
+    // job->run. Eligibility is a pure function of the request (never of
+    // what else is in flight), so the recorded timeline — serial-scan
+    // pricing, the reference mode for lane cohorts — is deterministic.
+    // The full tier caps lanes at kLaneMaxCells (each lane holds its whole
+    // table); the frontier tier has no cap, but a Storage::kFull request
+    // on it wants the whole table.
+    const Mode resolved = detail::resolve_auto(rc.mode, cells);
+    const bool lane_sized =
+        kFrontier ? rc.storage != Storage::kFull
+                  : cells <= detail::kLaneMaxCells;
+    if (lane_limit() > 1 && rc.batch_kernels && lane_sized &&
+        (resolved == Mode::kCpuSerial || resolved == Mode::kCpuParallel)) {
+      job->lane_key = make_solve_class_key(*sp, rc).token();
+      if (kFrontier) job->lane_key += "|frontier";
+      job->lane_exec = &BatchEngine::lane_exec_impl<kTier, P>;
+      job->lane_payload = std::make_shared<detail::LanePayload<kTier, P>>(
+          detail::LanePayload<kTier, P>{sp, rc, promise, cfg_.platform});
+      if (!admit(std::move(job))) return std::nullopt;
+      return future;
+    }
+    job->run = [sp, rc, promise, platform = cfg_.platform,
+                tune_auto = cfg_.tune_auto, tuner = &tuner_cache_,
+                backoff_s = cfg_.retry_backoff_ms * 1e-3](
+                   Job& j, cpu::ThreadPool* pool,
+                   sim::BufferPool* buffers) mutable {
+      rc.platform = platform;
+      rc.pool = pool;
+      rc.buffer_pool = buffers;
+      // Cross-solve tuning cache (full tier only): auto-parameter
+      // heterogeneous requests reuse one sweep per equivalence class
+      // (first contact pays it). Resolved once, before the attempt loop
+      // and outside any fault scope — tuning sweeps are shared
+      // infrastructure, never faulted.
+      if constexpr (!kFrontier) {
+        if (tune_auto &&
+            detail::resolve_auto(rc.mode, sp->rows() * sp->cols()) ==
+                Mode::kHeterogeneous &&
+            rc.hetero.t_switch < 0 && rc.hetero.t_share < 0) {
+          const TunerCache::Entry tuned = tuner->lookup_or_tune(*sp, rc);
+          rc.hetero = tuned.params;
+          if (rc.tile == -1) rc.tile = tuned.tile;
+        }
+      }
+      rc.trace_path.clear();
+      run_lifecycle<Result>(j, *promise, rc, backoff_s,
+                            [&](const RunConfig& arc) {
+                              if constexpr (kFrontier)
+                                return solve_frontier(sp, arc);
+                              else
+                                return solve(*sp, arc);
+                            });
+    };
+    if (!admit(std::move(job))) return std::nullopt;
+    return future;
+  }
+
+  /// Executes one cohort of same-class lane jobs (size >= 1) on storage
+  /// tier kTier: solves them in SIMD lockstep (detail::run_lane_cohort),
+  /// prices each exactly like a solo serial scan, and fulfils every
+  /// promise; frontier tables also get the remat callback and shared
+  /// ownership of their problem, so they stay valid after the engine
+  /// drops the job. A cohort-level failure — an injected lane-kernel
+  /// fault, a lane's cancellation observed mid-row, a genuine error —
+  /// re-runs each lane alone on the injection-free per-solve sweep, so one
+  /// poisoned request can degrade but never fail its cohort-mates. Lane
+  /// degradation charges NO backoff: each lane's recorded timeline stays
+  /// the pure solo serial-scan pricing, so the merged report remains
+  /// independent of racy cohort formation.
+  template <Storage kTier, LddpProblem P>
   static void lane_exec_impl(Job** cohort, std::size_t n) {
-    std::vector<detail::LanePayload<P>*> pls(n);
+    using V = typename P::Value;
+    using Payload = detail::LanePayload<kTier, P>;
+    constexpr bool kFrontier = kTier == Storage::kFrontier;
+    std::vector<Payload*> pls(n);
     std::vector<const P*> probs(n);
+    std::vector<std::size_t> ks(n);
     for (std::size_t k = 0; k < n; ++k) {
-      pls[k] =
-          static_cast<detail::LanePayload<P>*>(cohort[k]->lane_payload.get());
-      probs[k] = &pls[k]->problem;
+      pls[k] = static_cast<Payload*>(cohort[k]->lane_payload.get());
+      probs[k] = pls[k]->problem.get();
+      if constexpr (kFrontier)
+        ks[k] = detail::resolve_checkpoint_interval(
+            pls[k]->rc.checkpoint_interval, probs[k]->rows());
     }
     Stopwatch wall;
     detail::LaneExecStats lst;
-    std::vector<Grid<typename P::Value>> tables;
+    std::vector<detail::LaneTable<kTier, V>> tables;
     bool cohort_ok = true;
     // Lifecycle hook for the lockstep sweep: the cohort head's fault plan
     // draws kLaneKernel decisions per row, and every lane's cancellation
@@ -666,123 +641,9 @@ class BatchEngine {
       if (armed)
         scope.emplace(&cohort[0]->chaos_plan, cohort[0]->index,
                       /*attempt=*/0);
-      tables = detail::solve_lane_cohort(probs, /*batch_kernels=*/true, &lst,
-                                         poll);
-    } catch (...) {
-      cohort_ok = false;
-    }
-    const double per_solve_wall =
-        wall.seconds() / static_cast<double>(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      Job& j = *cohort[k];
-      const P& p = pls[k]->problem;
-      try {
-        if (j.cancel.cancelled()) throw fault::CancelledError();
-        // The solo fallback runs poll-free and outside any fault scope —
-        // it is the cohort's guaranteed reference rung.
-        Grid<typename P::Value> table =
-            cohort_ok ? std::move(tables[k])
-                      : std::move(detail::solve_lane_cohort(
-                            std::vector<const P*>{&p}, true, nullptr)[0]);
-        // Identical pricing to a solo serial scan (solve_cpu_serial),
-        // independent of the cohort this job landed in — the merged
-        // simulated report must not depend on racy cohort formation.
-        const ContributingSet deps = p.deps();
-        const bool use_batch = has_batch_front_v<P> && !deps.has_w();
-        sim::Platform plat(pls[k]->platform);
-        fault::RequestControl control;
-        if (j.cancel.valid()) control.cancel = j.cancel.flag();
-        if (j.deadline_s > 0.0) control.deadline_s = j.deadline_s;
-        if (control.cancel != nullptr || control.deadline_s > 0.0)
-          plat.timeline().set_request_control(&control);
-        plat.cpu_charge(p.rows() * p.cols(),
-                        detail::cpu_work_for(p, use_batch),
-                        /*parallel=*/false);
-        plat.timeline().set_request_control(nullptr);
-        SolveStats stats;
-        stats.mode_used = Mode::kCpuSerial;
-        stats.pattern = classify(deps);
-        stats.transfer = TransferNeed::kNone;
-        stats.fronts = p.rows();
-        stats.cells = p.rows() * p.cols();
-        // The lane's result grid plus its two rolling lane-major rows.
-        stats.peak_table_bytes =
-            (p.rows() + 2) * p.cols() * sizeof(typename P::Value);
-        detail::finish_stats(stats, plat, per_solve_wall);
-        j.recorded = plat.timeline();
-        j.stats = stats;
-        if (!cohort_ok) {
-          j.outcome = lddp::chaos::RequestOutcome::kDegraded;
-          j.degraded = "lane->solo";
-          j.retries = 1;
-        } else {
-          j.outcome = lddp::chaos::RequestOutcome::kOk;
-        }
-        pls[k]->promise->set_value(
-            SolveResult<P>{std::move(table), stats});
-      } catch (const fault::CancelledError&) {
-        j.outcome = lddp::chaos::RequestOutcome::kCancelled;
-        j.failed = true;
-        pls[k]->promise->set_exception(std::current_exception());
-      } catch (const fault::DeadlineExceededError&) {
-        j.outcome = lddp::chaos::RequestOutcome::kDeadlineExceeded;
-        j.failed = true;
-        pls[k]->promise->set_exception(std::current_exception());
-      } catch (...) {
-        j.outcome = lddp::chaos::RequestOutcome::kFailed;
-        j.failed = true;
-        pls[k]->promise->set_exception(std::current_exception());
-      }
-      j.lane_cohort = n;
-    }
-    cohort[0]->lane_head = true;
-    cohort[0]->lane_lockstep_cells = cohort_ok ? lst.lockstep_cells : 0;
-    cohort[0]->lane_total_cells = cohort_ok ? lst.total_cells : 0;
-  }
-
-  /// Frontier analogue of lane_exec_impl: the cohort rolls two-row lane
-  /// buffers (solve_lane_cohort_frontier), each lane keeps only its
-  /// checkpoint rows + last row, and every fulfilled table carries the
-  /// remat callback plus shared ownership of its problem, so results stay
-  /// valid after the engine drops the job. Pricing, lifecycle hooks and
-  /// the solo degradation rung mirror the full-table cohort exactly.
-  template <LddpProblem P>
-  static void lane_exec_frontier_impl(Job** cohort, std::size_t n) {
-    using V = typename P::Value;
-    std::vector<detail::FrontierLanePayload<P>*> pls(n);
-    std::vector<const P*> probs(n);
-    std::vector<std::size_t> ks(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      pls[k] = static_cast<detail::FrontierLanePayload<P>*>(
-          cohort[k]->lane_payload.get());
-      probs[k] = pls[k]->problem.get();
-      ks[k] = detail::resolve_checkpoint_interval(
-          pls[k]->rc.checkpoint_interval, probs[k]->rows());
-    }
-    Stopwatch wall;
-    detail::LaneExecStats lst;
-    std::vector<FrontierTable<V>> tables;
-    bool cohort_ok = true;
-    const bool armed = cohort[0]->chaos_plan.armed();
-    bool any_cancel = false;
-    for (std::size_t k = 0; k < n; ++k)
-      any_cancel = any_cancel || cohort[k]->cancel.valid();
-    std::function<void(std::size_t)> poll;
-    if (armed || any_cancel) {
-      poll = [cohort, n](std::size_t row) {
-        fault::maybe_throw(fault::Site::kLaneKernel, row);
-        for (std::size_t k = 0; k < n; ++k)
-          if (cohort[k]->cancel.cancelled()) throw fault::CancelledError();
-      };
-    }
-    try {
-      std::optional<fault::FaultScope> scope;
-      if (armed)
-        scope.emplace(&cohort[0]->chaos_plan, cohort[0]->index,
-                      /*attempt=*/0);
-      tables = detail::solve_lane_cohort_frontier(probs, ks,
-                                                  /*batch_kernels=*/true,
-                                                  &lst, poll);
+      tables = detail::run_lane_cohort<kTier>(probs, ks,
+                                              /*batch_kernels=*/true, &lst,
+                                              poll);
     } catch (...) {
       cohort_ok = false;
     }
@@ -793,39 +654,42 @@ class BatchEngine {
       const P& p = *probs[k];
       try {
         if (j.cancel.cancelled()) throw fault::CancelledError();
-        FrontierTable<V> table =
+        // The solo fallback runs poll-free and outside any fault scope —
+        // it is the cohort's guaranteed reference rung.
+        detail::LaneExecStats solo;
+        detail::LaneTable<kTier, V> table =
             cohort_ok ? std::move(tables[k])
-                      : std::move(detail::solve_lane_cohort_frontier(
+                      : std::move(detail::run_lane_cohort<kTier>(
                             std::vector<const P*>{&p},
                             std::vector<std::size_t>{ks[k]}, true,
-                            nullptr)[0]);
-        detail::attach_row_remat(
-            table, [sp = pls[k]->problem]() -> const P& { return *sp; },
-            /*batch=*/true);
-        table.keep_alive(pls[k]->problem);
+                            &solo)[0]);
+        if constexpr (kFrontier) {
+          detail::attach_row_remat(
+              table, [sp = pls[k]->problem]() -> const P& { return *sp; },
+              /*batch=*/true);
+          table.keep_alive(pls[k]->problem);
+        }
         // Identical pricing to a solo serial scan, independent of the
-        // cohort this job landed in (see lane_exec_impl).
-        const ContributingSet deps = p.deps();
-        const bool use_batch = has_batch_front_v<P> && !deps.has_w();
+        // cohort this job landed in — the merged simulated report must
+        // not depend on racy cohort formation.
         sim::Platform plat(pls[k]->platform);
         fault::RequestControl control;
         if (j.cancel.valid()) control.cancel = j.cancel.flag();
         if (j.deadline_s > 0.0) control.deadline_s = j.deadline_s;
         if (control.cancel != nullptr || control.deadline_s > 0.0)
           plat.timeline().set_request_control(&control);
-        plat.cpu_charge(p.rows() * p.cols(),
-                        detail::cpu_work_for(p, use_batch),
-                        /*parallel=*/false);
-        plat.timeline().set_request_control(nullptr);
         SolveStats stats;
-        stats.mode_used = Mode::kCpuSerial;
-        stats.pattern = classify(deps);
-        stats.transfer = TransferNeed::kNone;
-        stats.fronts = p.rows();
-        stats.cells = p.rows() * p.cols();
-        detail::finish_stats(stats, plat, per_solve_wall);
-        detail::finish_frontier_stats(&stats, table,
-                                      2 * p.cols() * sizeof(V));
+        detail::finish_serial_scan(p, &plat, &stats, /*batch=*/true,
+                                   per_solve_wall);
+        plat.timeline().set_request_control(nullptr);
+        // The lane's store plus its two rolling lane-major rows.
+        const std::size_t peak =
+            (cohort_ok ? lst.peak_bytes[k] : solo.peak_bytes[0]) +
+            2 * p.cols() * sizeof(V);
+        if constexpr (kFrontier)
+          detail::finish_frontier_stats(&stats, table, peak);
+        else
+          stats.peak_table_bytes = peak;
         j.recorded = plat.timeline();
         j.stats = stats;
         if (!cohort_ok) {
@@ -836,7 +700,7 @@ class BatchEngine {
           j.outcome = lddp::chaos::RequestOutcome::kOk;
         }
         pls[k]->promise->set_value(
-            FrontierSolveResult<P>{std::move(table), stats});
+            detail::TierResult<kTier, P>{std::move(table), stats});
       } catch (const fault::CancelledError&) {
         j.outcome = lddp::chaos::RequestOutcome::kCancelled;
         j.failed = true;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/contributing_set.h"
+#include "core/front_span.h"
 #include "core/pattern.h"
 #include "core/problem.h"
 #include "core/run_config.h"
@@ -110,6 +111,31 @@ inline void finish_stats(SolveStats& stats, sim::Platform& platform,
   stats.d2h_bytes = mem.d2h_bytes;
   stats.h2d_copies = mem.h2d_copies;
   stats.d2h_copies = mem.d2h_copies;
+}
+
+/// Pricing and stats of a serial row scan, shared by every path that runs
+/// one (solve_cpu_serial, the serial frontier scan, batch lane jobs): one
+/// serial-priced CPU op over all cells — vector-priced when W-free rows
+/// take the batch hook — on `platform` if given, and the scan's stats.
+/// The caller sets peak_table_bytes.
+template <LddpProblem P>
+void finish_serial_scan(const P& p, sim::Platform* platform,
+                        SolveStats* stats, bool batch, double real_seconds) {
+  const std::size_t n = p.rows(), m = p.cols();
+  const ContributingSet deps = p.deps();
+  if (platform) {
+    const bool use_batch = batch && has_batch_front_v<P> && !deps.has_w();
+    platform->cpu_charge(n * m, cpu_work_for(p, use_batch),
+                         /*parallel=*/false);
+  }
+  if (stats == nullptr) return;
+  stats->mode_used = Mode::kCpuSerial;
+  stats->pattern = classify(deps);
+  stats->transfer = TransferNeed::kNone;
+  stats->fronts = n;  // scan rows
+  stats->cells = n * m;
+  if (platform) finish_stats(*stats, *platform, real_seconds);
+  else stats->real_seconds = real_seconds;
 }
 
 }  // namespace lddp::detail

@@ -34,22 +34,8 @@ Grid<typename P::Value> solve_cpu_serial(const P& p, sim::Platform* platform,
     const V* prev = i > 0 ? data + (i - 1) * m : nullptr;
     detail::run_row(p, deps, bound, i, 0, m, m, prev, data + i * m, batch);
   }
-  if (platform) {
-    const bool use_batch =
-        batch && has_batch_front_v<P> && !deps.has_w();
-    platform->cpu_charge(n * m, detail::cpu_work_for(p, use_batch),
-                         /*parallel=*/false);
-  }
-  if (stats) {
-    stats->mode_used = Mode::kCpuSerial;
-    stats->pattern = classify(deps);
-    stats->transfer = TransferNeed::kNone;
-    stats->fronts = n;  // scan rows
-    stats->cells = n * m;
-    stats->peak_table_bytes = n * m * sizeof(V);
-    if (platform) detail::finish_stats(*stats, *platform, wall.seconds());
-    else stats->real_seconds = wall.seconds();
-  }
+  detail::finish_serial_scan(p, platform, stats, batch, wall.seconds());
+  if (stats) stats->peak_table_bytes = n * m * sizeof(V);
   return table;
 }
 

@@ -35,8 +35,13 @@
 // K-row band — row by row, or, for W-dependent problems with a batch
 // hook, front by front over a front-major band. Results are bit-identical
 // to the full tier because every cell value is a pure function of its
-// neighbours. solve_frontier_serial, the row-streaming scan, needs no
-// window and no store: two rolling rows suffice for every pattern.
+// neighbours.
+//
+// The row layer runs over the same stores, with row fronts
+// (RowMajorLayout): sweep_rows is the one serial row sweep, used by the
+// serial frontier scan (solve_frontier_serial, a one- or two-row
+// WindowStore — a row sweep respects every contributing set) and by the
+// batch engine's lane cohorts (core/lane_cohort.h) on both tiers.
 #pragma once
 
 #include <algorithm>
@@ -251,57 +256,11 @@ void attach_row_remat(FrontierTable<V>& t, Holder holder, bool batch) {
 /// Fills the frontier-specific stats fields.
 template <typename V>
 void finish_frontier_stats(SolveStats* stats, const FrontierTable<V>& t,
-                           std::size_t transient_bytes) {
+                           std::size_t peak_bytes) {
   if (stats == nullptr) return;
-  stats->peak_table_bytes = t.resident_bytes() + transient_bytes;
+  stats->peak_table_bytes = peak_bytes;
   stats->checkpoint_interval = t.checkpoint_interval();
   stats->checkpoint_rows = t.checkpoint_row_count();
-}
-
-// --- Serial engine ------------------------------------------------------
-
-/// Row-streaming serial scan: two rolling rows of live state, rows on the
-/// checkpoint grid computed directly into their retained storage. Same
-/// cells, same single serial CPU charge as solve_cpu_serial.
-template <LddpProblem P>
-FrontierTable<typename P::Value> solve_frontier_serial(
-    const P& p, sim::Platform* platform, SolveStats* stats,
-    bool batch, std::size_t K) {
-  using V = typename P::Value;
-  Stopwatch wall;
-  const std::size_t n = p.rows(), m = p.cols();
-  const ContributingSet deps = p.deps();
-  const V bound = p.boundary();
-  FrontierTable<V> table = FrontierTable<V>::checkpointed(n, m, K);
-  AlignedBuf<V> roll;
-  V* const rbase = roll.ensure(2 * m);
-  const V* prev = nullptr;
-  for (std::size_t i = 0; i < n; ++i) {
-    V* row;
-    if (i % K == 0) row = table.checkpoint_row(i);
-    else if (i == n - 1) row = table.last_row();
-    else row = rbase + (i & 1) * m;
-    run_row(p, deps, bound, i, 0, m, m, prev, row, batch);
-    if (i == n - 1 && i % K == 0)
-      std::copy(row, row + m, table.last_row());
-    prev = row;
-  }
-  if (platform) {
-    const bool use_batch = batch && has_batch_front_v<P> && !deps.has_w();
-    platform->cpu_charge(n * m, cpu_work_for(p, use_batch),
-                         /*parallel=*/false);
-  }
-  if (stats) {
-    stats->mode_used = Mode::kCpuSerial;
-    stats->pattern = classify(deps);
-    stats->transfer = TransferNeed::kNone;
-    stats->fronts = n;
-    stats->cells = n * m;
-    if (platform) finish_stats(*stats, *platform, wall.seconds());
-    else stats->real_seconds = wall.seconds();
-    finish_frontier_stats(stats, table, 2 * m * sizeof(V));
-  }
-  return table;
 }
 
 /// Backing memory of a store: aligned host scratch, or a simulated device
@@ -419,3 +378,45 @@ class WindowStore {
 };
 
 }  // namespace lddp
+
+namespace lddp::detail {
+
+// --- Serial row sweep ---------------------------------------------------
+
+/// Serial row sweep of rows [r0, rows) over a row-major store (FullStore
+/// or WindowStore on RowMajorLayout): row i reads its predecessor at
+/// store.addr(i - 1, 0), and after_front(i) runs once row i is final.
+/// With a one-row window (W-only and empty sets) the predecessor aliases
+/// row i; that is safe because run_row reads it only for NW/N/NE.
+template <LddpProblem P, typename Store>
+void sweep_rows(const P& p, Store& store, std::size_t r0, bool batch) {
+  using V = typename P::Value;
+  const std::size_t m = p.cols();
+  const ContributingSet deps = p.deps();
+  const V bound = p.boundary();
+  for (std::size_t i = r0; i < p.rows(); ++i) {
+    const V* prev = i > 0 ? store.addr(i - 1, 0) : nullptr;
+    run_row(p, deps, bound, i, 0, m, m, prev, store.addr(i, 0), batch);
+    store.after_front(i);
+  }
+}
+
+/// Row-streaming serial scan: sweep_rows over a one- or two-row window
+/// that keeps the checkpoint rows and the last row. Same cells, same
+/// single serial CPU charge as solve_cpu_serial.
+template <LddpProblem P>
+FrontierTable<typename P::Value> solve_frontier_serial(
+    const P& p, sim::Platform* platform, SolveStats* stats,
+    bool batch, std::size_t K) {
+  using V = typename P::Value;
+  Stopwatch wall;
+  const RowMajorLayout layout(p.rows(), p.cols());
+  WindowStore<V, RowMajorLayout> store(layout, p.deps(), K);
+  sweep_rows(p, store, 0, batch);
+  finish_serial_scan(p, platform, stats, batch, wall.seconds());
+  FrontierTable<V> table = store.finish();
+  finish_frontier_stats(stats, table, store.peak_bytes());
+  return table;
+}
+
+}  // namespace lddp::detail

@@ -488,7 +488,8 @@ TEST(BatchLifecycle, StripWorkerFaultsRetryCleanly) {
 }
 
 /// Lane-cohort injection: a kLaneKernel fault degrades the cohort to
-/// per-lane solo execution ("lane->solo") with bit-identical results.
+/// per-lane solo execution ("lane->solo") with bit-identical results, on
+/// both storage tiers.
 TEST(BatchLifecycle, LaneCohortFaultDegradesToSolo) {
   BatchConfig bc;
   bc.worker_threads = 0;
@@ -525,6 +526,39 @@ TEST(BatchLifecycle, LaneCohortFaultDegradesToSolo) {
   // results above are bit-identical.
   if (rep.lane_cohorts > 0 || rep.lane_packed_solves > 0) {
     EXPECT_TRUE(any_lane_degrade);
+  }
+
+  // The same cohort on the frontier tier: the degraded branch re-runs each
+  // lane solo and attaches the remat callback, which every cell read
+  // below goes through.
+  BatchEngine frontier_engine(bc);
+  std::vector<std::future<FrontierSolveResult<Problem>>> frontier_futures;
+  for (std::size_t k = 0; k < 6; ++k) {
+    RunConfig rc;
+    rc.mode = Mode::kCpuSerial;
+    rc.storage = Storage::kFrontier;
+    rc.checkpoint_interval = 5;
+    auto f = frontier_engine.submit_frontier(
+        make_deps_problem(ContributingSet(0b0110), 48, 48, k), rc);
+    ASSERT_TRUE(f.has_value());
+    frontier_futures.push_back(std::move(*f));
+  }
+  const BatchReport frontier_rep = frontier_engine.wait();
+  ASSERT_EQ(frontier_rep.solves, 6u);
+  EXPECT_EQ(frontier_rep.failed_solves, 0u);
+  bool any_frontier_degrade = false;
+  for (std::size_t k = 0; k < 6; ++k) {
+    FrontierSolveResult<Problem> got;
+    ASSERT_NO_THROW(got = frontier_futures[k].get()) << k;
+    for (std::size_t i = 0; i < 48; ++i)
+      for (std::size_t j = 0; j < 48; ++j)
+        ASSERT_EQ(got.table.at(i, j), expected[k].at(i, j))
+            << k << " cell (" << i << ", " << j << ")";
+    if (frontier_rep.items[k].degraded == "lane->solo")
+      any_frontier_degrade = true;
+  }
+  if (frontier_rep.lane_cohorts > 0 || frontier_rep.lane_packed_solves > 0) {
+    EXPECT_TRUE(any_frontier_degrade);
   }
 }
 

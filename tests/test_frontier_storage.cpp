@@ -210,6 +210,24 @@ TEST(FrontierStorage, MemoryAccounting) {
   EXPECT_GE(r.table.peak_bytes(), r.table.resident_bytes());
 }
 
+// The serial frontier scan runs over the same row-major WindowStore as the
+// CPU-parallel Horizontal sweep, so both report the same high-water —
+// padded window rows included (cols % 16 != 0).
+TEST(FrontierStorage, SerialScanPeakMatchesParallelWindow) {
+  const auto p = make_probe(Case{0b1110, 37, 45});  // {NW, N, NE}
+  ASSERT_EQ(classify(p.deps()), Pattern::kHorizontal);
+  RunConfig cfg;
+  cfg.storage = Storage::kFrontier;
+  cfg.checkpoint_interval = 4;
+  cfg.mode = Mode::kCpuSerial;
+  const auto serial = solve_frontier(p, cfg);
+  cfg.mode = Mode::kCpuParallel;
+  const auto parallel = solve_frontier(p, cfg);
+  EXPECT_GT(serial.stats.peak_table_bytes, serial.table.resident_bytes());
+  EXPECT_EQ(serial.stats.peak_table_bytes, parallel.stats.peak_table_bytes);
+  EXPECT_EQ(serial.stats.checkpoint_rows, parallel.stats.checkpoint_rows);
+}
+
 // A shared BufferPool serving frontier solves reports live/peak bytes
 // and reuse: the second identical solve should hit the arena cache.
 TEST(FrontierStorage, BufferPoolHighWater) {
@@ -469,6 +487,57 @@ TEST(FrontierBatch, LaneCohortFrontierIdentity) {
       for (std::size_t j = 0; j < probs[k].cols(); ++j)
         ASSERT_EQ(got.table.at(i, j), ref.table.at(i, j))
             << "lane " << k << " cell (" << i << ", " << j << ")";
+  }
+}
+
+// Lane jobs on both tiers report the solo serial scan of their tier: the
+// same simulated charge and checkpoint grid, and the same store plus the
+// lane's two rolling lane-major rows as peak table bytes.
+TEST(FrontierBatch, LaneJobsReportSoloSerialStats) {
+  BatchConfig bc;
+  bc.worker_threads = 0;
+  BatchEngine engine(bc);
+  using P = problems::LevenshteinProblem;
+  std::vector<P> probs;
+  for (std::uint64_t s = 0; s < 4; ++s)
+    probs.emplace_back(problems::random_sequence(60 + s, 2 * s + 1),
+                       problems::random_sequence(73 - s, 2 * s + 2));
+  RunConfig full;
+  full.mode = Mode::kCpuSerial;
+  RunConfig frontier = full;
+  frontier.storage = Storage::kFrontier;
+  frontier.checkpoint_interval = 6;
+  std::vector<std::future<SolveResult<P>>> full_futs;
+  std::vector<std::future<FrontierSolveResult<P>>> frontier_futs;
+  for (const P& p : probs) {
+    auto f = engine.submit(p, full);
+    ASSERT_TRUE(f.has_value());
+    full_futs.push_back(std::move(*f));
+    auto ff = engine.submit_frontier(p, frontier);
+    ASSERT_TRUE(ff.has_value());
+    frontier_futs.push_back(std::move(*ff));
+  }
+  const BatchReport rep = engine.wait();
+  ASSERT_EQ(rep.lane_eligible_solves, 8u);
+  if (lanes::preferred_lane_width() > 1) {
+    EXPECT_GE(rep.lane_packed_solves, 4u);
+  }
+  for (std::size_t k = 0; k < probs.size(); ++k) {
+    const std::size_t lane_rows = 2 * probs[k].cols() * sizeof(std::int32_t);
+    const SolveStats solo_full = solve(probs[k], full).stats;
+    const SolveStats solo_frontier = solve_frontier(probs[k], frontier).stats;
+    const SolveStats got_full = full_futs[k].get().stats;
+    const SolveStats got_frontier = frontier_futs[k].get().stats;
+    for (const auto& [got, solo] :
+         {std::pair{got_full, solo_full},
+          std::pair{got_frontier, solo_frontier}}) {
+      EXPECT_EQ(got.sim_seconds, solo.sim_seconds) << k;
+      EXPECT_EQ(got.cpu_busy_seconds, solo.cpu_busy_seconds) << k;
+      EXPECT_EQ(got.checkpoint_interval, solo.checkpoint_interval) << k;
+      EXPECT_EQ(got.checkpoint_rows, solo.checkpoint_rows) << k;
+      EXPECT_EQ(got.peak_table_bytes, solo.peak_table_bytes + lane_rows)
+          << k;
+    }
   }
 }
 

@@ -1,9 +1,10 @@
 // Inter-solve SIMD lane packing: cohorts of same-class batched solves run
-// in vector lockstep, one lane per solve. These tests pin the contract —
-// lane-packed tables are bit-identical to solo serial solves across every
-// contributing set, ragged and degenerate shapes, cohort sizes, and ISA
-// dispatch tiers — and check cohort formation, eligibility gating, and the
-// BatchReport lane counters.
+// in vector lockstep, one lane per solve. These tests pin the contract on
+// both storage tiers (submit and submit_frontier) — lane-packed tables are
+// bit-identical to solo serial solves across every contributing set,
+// ragged and degenerate shapes, cohort sizes, and ISA dispatch tiers — and
+// check cohort formation, eligibility gating, and the BatchReport lane
+// counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,30 +42,54 @@ BatchConfig lane_config(long long lane_pack = -1, std::size_t workers = 0) {
   return bc;
 }
 
-/// Submits every problem as a serial-CPU request, drains the batch, and
-/// checks each table against the solo solver bit for bit. Returns the
-/// report for counter assertions.
+/// Submits every problem as a serial-CPU request on both storage tiers —
+/// submit(), and submit_frontier() with checkpoints every 3 rows, each
+/// tier on its own engine — drains both batches, and checks each table
+/// against the solo full solve bit for bit (every cell of a frontier table
+/// through at(), so interior rows come back through remat). The frontier
+/// tier has no lane cell cap: every request is lane-eligible there unless
+/// lane packing is off. Returns the full-tier report for counter
+/// assertions; `frontier_rep`, if set, receives the frontier one.
 template <typename P>
 BatchReport expect_lane_identical(const std::vector<P>& probs,
                                   long long lane_pack = -1,
-                                  std::size_t workers = 0) {
+                                  std::size_t workers = 0,
+                                  BatchReport* frontier_rep = nullptr) {
   BatchEngine engine(lane_config(lane_pack, workers));
+  BatchEngine frontier_engine(lane_config(lane_pack, workers));
   std::vector<std::future<SolveResult<P>>> futs;
+  std::vector<std::future<FrontierSolveResult<P>>> frontier_futs;
   for (const P& p : probs) {
     RunConfig rc;
     rc.mode = Mode::kCpuSerial;
     auto f = engine.submit(P(p), rc);
     EXPECT_TRUE(f.has_value());
     futs.push_back(std::move(*f));
+    rc.storage = Storage::kFrontier;
+    rc.checkpoint_interval = 3;
+    auto ff = frontier_engine.submit_frontier(P(p), rc);
+    EXPECT_TRUE(ff.has_value());
+    frontier_futs.push_back(std::move(*ff));
   }
   const BatchReport rep = engine.wait();
+  const BatchReport frontier = frontier_engine.wait();
+  EXPECT_EQ(frontier.lane_eligible_solves,
+            lane_pack == 0 ? 0u : probs.size());
   for (std::size_t k = 0; k < probs.size(); ++k) {
     RunConfig rc;
     rc.mode = Mode::kCpuSerial;
     const auto want = solve(probs[k], rc);
     EXPECT_EQ(futs[k].get().table, want.table)
         << "lane " << k << " of " << probs.size() << " diverged";
+    const auto got = frontier_futs[k].get();
+    bool same = true;
+    for (std::size_t i = 0; i < want.table.rows() && same; ++i)
+      for (std::size_t j = 0; j < want.table.cols() && same; ++j)
+        same = got.table.at(i, j) == want.table.at(i, j);
+    EXPECT_TRUE(same) << "frontier lane " << k << " of " << probs.size()
+                      << " diverged";
   }
+  if (frontier_rep != nullptr) *frontier_rep = frontier;
   return rep;
 }
 
@@ -245,12 +270,15 @@ TEST(LanePacking, ReportsPeakTableBytes) {
 // Large tables and non-CPU modes are not lane-eligible.
 TEST(LanePacking, EligibilityRespectsModeAndCells) {
   {
-    // 1501x1501 > the lane cell ceiling.
+    // 1501x1501 > the lane cell ceiling — of the full tier only: frontier
+    // lanes keep one or two rows each, so the frontier tier has no cap.
     std::vector<problems::LevenshteinProblem> v;
     v.emplace_back(rand_str(1500, 1), rand_str(1500, 2));
     v.emplace_back(rand_str(1500, 3), rand_str(1500, 4));
-    const BatchReport rep = expect_lane_identical(v);
+    BatchReport frontier;
+    const BatchReport rep = expect_lane_identical(v, -1, 0, &frontier);
     EXPECT_EQ(rep.lane_eligible_solves, 0u);
+    EXPECT_EQ(frontier.lane_eligible_solves, 2u);
   }
   {
     BatchEngine engine(lane_config());
@@ -273,15 +301,18 @@ TEST(LanePacking, ConcurrentWorkersDeterministicTimeline) {
   std::vector<problems::LevenshteinProblem> v;
   for (std::size_t k = 0; k < 12; ++k)
     v.emplace_back(rand_str(80 + k, 3 * k), rand_str(96 - k, 3 * k + 1));
-  const BatchReport packed =
-      expect_lane_identical(v, /*lane_pack=*/-1, /*workers=*/2);
-  const BatchReport off =
-      expect_lane_identical(v, /*lane_pack=*/0, /*workers=*/0);
+  BatchReport packed_frontier, off_frontier;
+  const BatchReport packed = expect_lane_identical(
+      v, /*lane_pack=*/-1, /*workers=*/2, &packed_frontier);
+  const BatchReport off = expect_lane_identical(
+      v, /*lane_pack=*/0, /*workers=*/0, &off_frontier);
   EXPECT_LE(packed.lane_packed_solves, packed.lane_eligible_solves);
   EXPECT_GE(packed.lane_hit_rate, 0.0);
   EXPECT_LE(packed.lane_hit_rate, 1.0);
   EXPECT_NEAR(packed.sim_makespan, off.sim_makespan,
               1e-12 + off.sim_makespan * 1e-9);
+  EXPECT_NEAR(packed_frontier.sim_makespan, off_frontier.sim_makespan,
+              1e-12 + off_frontier.sim_makespan * 1e-9);
 }
 
 }  // namespace
