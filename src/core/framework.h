@@ -95,17 +95,14 @@ auto pattern_layout(std::size_t n, std::size_t m) {
 /// The mode dispatch of canonical pattern kPattern on both storage tiers.
 /// Every parallel strategy runs over a store of the tier (core/strategies/
 /// frontier_engine.h): a FullStore on Storage::kFull, a WindowStore on
-/// Storage::kFrontier, with the same schedule either way. What stays
-/// per tier:
+/// Storage::kFrontier, with the same schedule and the same pricing either
+/// way — Inverted-L included, whose shells are priced on the paper's
+/// strided row-major storage (FrontAmplification::strided_shells) on
+/// both tiers. What stays per tier:
 ///   * kCpuSerial runs solve_cpu_serial, or the row-streaming
 ///     solve_frontier_serial;
 ///   * the tiled layer (kCpuTiled, RunConfig::tile) is full-tier only: the
-///     frontier tier runs kCpuTiled as kCpuParallel and ignores tile;
-///   * Inverted-L runs the full-table strategies (the paper's strided
-///     row-major storage); the frontier tier instead runs the CPU and GPU
-///     strategies over a coalesced ShellLayout window when the
-///     dependencies admit one. The heterogeneous shell split has no
-///     window form.
+///     frontier tier runs kCpuTiled as kCpuParallel and ignores tile.
 /// A full-table grid on the frontier tier is wrapped in the FrontierTable
 /// facade. The frontier table has no remat callback or transform yet; the
 /// solve_frontier wrappers attach both. The pattern is a template
@@ -121,10 +118,6 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
                 "solve_canonical takes a canonical pattern");
   using V = typename P::Value;
   constexpr bool kWindow = kTier == Storage::kFrontier;
-  // Modelled CPU memory amplification of the pattern's walk order.
-  constexpr double kCpuAmplification = kPattern == Pattern::kHorizontal
-                                           ? 1.0
-                                           : detail::kDiagonalCpuAmplification;
   sim::Platform platform(cfg.platform, cfg.pool, cfg.buffer_pool);
   // Lifecycle enforcement rides the Timeline: every strategy's recorded op
   // (CPU front, kernel, copy) passes through Timeline::record, so a single
@@ -142,6 +135,18 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
   sim::Device* const gpu = &platform.gpu();
   TierResult<kTier, P> result;
   SolveStats* const stats = &result.stats;
+  // Modelled memory amplification of the pattern's walk order on each
+  // unit: row fronts are contiguous, diagonal fronts cache-hostile on the
+  // CPU, and Inverted-L shells strided in their column parts.
+  FrontAmplification cpu_amp, gpu_amp;
+  if constexpr (kPattern == Pattern::kInvertedL) {
+    cpu_amp = FrontAmplification::strided_shells(
+        n, invl_cpu_column_amplification<V>());
+    gpu_amp = FrontAmplification::strided_shells(
+        n, invl_gpu_column_amplification<V>(gpu->spec(), m));
+  } else if constexpr (kPattern != Pattern::kHorizontal) {
+    cpu_amp = FrontAmplification(kDiagonalCpuAmplification);
+  }
 
   // Runs `strategy(store)` over a store of this tier on the pattern's
   // layout, held in `device` memory (null: host).
@@ -158,30 +163,6 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
       result.table = strategy(store);
     }
   };
-  // A full-table strategy's grid as this tier's table.
-  auto take_full = [&](Grid<V> g) {
-    if constexpr (kWindow) result.table = FrontierTable<V>::full(std::move(g));
-    else result.table = std::move(g);
-  };
-  // Tile side of the GPU / heterogeneous tiled layer; 0 on the frontier
-  // tier.
-  auto tile = [&]() -> std::size_t {
-    return kWindow ? 0 : resolve_tile(p, cfg);
-  };
-  // Runs a CPU-only or GPU-only strategy over a store; false for
-  // Inverted-L unless this tier can run it as a window of shells.
-  auto single_unit = [&](sim::Device* device, auto&& strategy) {
-    if constexpr (kPattern == Pattern::kInvertedL && !kWindow) {
-      return false;
-    } else {
-      if constexpr (kPattern == Pattern::kInvertedL) {
-        if (frontier_window_fronts(ShellLayout(n, m), deps) == 0)
-          return false;
-      }
-      run(device, strategy);
-      return true;
-    }
-  };
 
   switch (mode) {
     case Mode::kCpuSerial:
@@ -192,32 +173,38 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
       break;
 
     case Mode::kCpuTiled:
-      take_full(solve_cpu_tiled(p, platform, cfg.cpu_tile, stats, batch));
+      if constexpr (!kWindow)
+        result.table =
+            solve_cpu_tiled(p, platform, cfg.cpu_tile, stats, batch);
       break;
 
     case Mode::kCpuParallel:
-      if (!single_unit(nullptr, [&](auto& store) {
-            return solve_cpu_parallel(p, store, platform, stats,
-                                      kCpuAmplification, batch);
-          }))
-        take_full(solve_cpu_invertedl(p, platform, stats, batch));
+      run(nullptr, [&](auto& store) {
+        return solve_cpu_parallel(p, store, platform, stats, cpu_amp, batch);
+      });
       break;
 
     case Mode::kGpu:
-      if (const std::size_t t = tile(); t > 0) {
-        take_full(solve_gpu_tiled(p, platform, t, stats, fused, batch));
-      } else if (!single_unit(gpu, [&](auto& store) {
-                   return solve_gpu(p, store, platform, stats, fused, batch);
-                 })) {
-        take_full(solve_gpu_invertedl(p, platform, stats, fused, batch));
+      if constexpr (!kWindow) {
+        if (const std::size_t t = resolve_tile(p, cfg); t > 0) {
+          result.table = solve_gpu_tiled(p, platform, t, stats, fused, batch);
+          break;
+        }
       }
+      run(gpu, [&](auto& store) {
+        return solve_gpu(p, store, platform, stats, gpu_amp, fused, batch);
+      });
       break;
 
     case Mode::kHeterogeneous:
-      if (const std::size_t t = tile(); t > 0) {
-        take_full(solve_hetero_tiled(p, platform, cfg.hetero, t, stats, fused,
-                                     batch));
-      } else if constexpr (kPattern == Pattern::kAntiDiagonal) {
+      if constexpr (!kWindow) {
+        if (const std::size_t t = resolve_tile(p, cfg); t > 0) {
+          result.table = solve_hetero_tiled(p, platform, cfg.hetero, t, stats,
+                                            fused, batch);
+          break;
+        }
+      }
+      if constexpr (kPattern == Pattern::kAntiDiagonal) {
         run(gpu, [&](auto& store) {
           return solve_hetero_antidiagonal(p, store, platform, cfg.hetero,
                                            stats, fused, batch);
@@ -235,8 +222,10 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
                                          stats, fused, batch);
         });
       } else {
-        take_full(solve_hetero_invertedl(p, platform, cfg.hetero, stats,
-                                         fused, batch));
+        run(gpu, [&](auto& store) {
+          return solve_hetero_invertedl(p, store, platform, cfg.hetero, stats,
+                                        fused, batch);
+        });
       }
       break;
 

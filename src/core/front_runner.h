@@ -120,9 +120,9 @@ inline bool layout_batchable(const MirrorShellLayout&, ContributingSet deps) {
 // still resident: max front distance of any representative cell, plus
 // one for the front being written. 0 means the layout has no bounded
 // backward window under these deps (a dependency can land on a *later*
-// front) and the frontier tier must fall back to full storage — never
-// the case for the canonical pattern->layout pairs the framework
-// dispatches, which all look strictly backward.
+// front), and WindowStore refuses the pair — never the case for the
+// canonical pattern->layout pairs the framework dispatches, which all
+// look strictly backward.
 
 inline std::size_t frontier_window_fronts(const RowMajorLayout&,
                                           ContributingSet deps) {
@@ -149,8 +149,8 @@ inline std::size_t frontier_window_fronts(const ShellLayout&,
   // W and NW look at shell k-1 or stay same-shell in enumeration order;
   // NE on the column part reads shell k+1 (forward), and N on the column
   // part reads a same-shell cell the descending enumeration has not
-  // produced yet — both already unsupported by the full-table shell
-  // strategies, which only ever see the canonical {NW} set.
+  // produced yet. The framework's shells only ever see the canonical
+  // {NW} set.
   return deps.has_ne() || deps.has_n() ? 0 : 2;
 }
 inline std::size_t frontier_window_fronts(const MirrorShellLayout&,

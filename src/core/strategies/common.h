@@ -1,5 +1,6 @@
 // Shared machinery of all execution strategies: neighbour gathering on host
-// and device tables, kernel descriptions, and stats assembly.
+// and device tables, walk pricing, kernel descriptions, and stats
+// assembly.
 #pragma once
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "core/problem.h"
 #include "core/run_config.h"
 #include "cpu/calibrate.h"
+#include "sim/coalescing.h"
 #include "sim/platform.h"
 #include "tables/front_major.h"
 #include "tables/grid.h"
@@ -28,6 +30,67 @@ namespace lddp::detail {
 /// the front; partial L2 reuse across adjacent fronts keeps the factor
 /// well below the one-line-per-cell worst case.
 inline constexpr double kDiagonalCpuAmplification = 4.0;
+
+/// Memory amplification of a strided column walk on the GPU (one warp
+/// transaction per lane instead of one per warp).
+template <typename V>
+double invl_gpu_column_amplification(const sim::GpuSpec& gpu,
+                                     std::size_t cols) {
+  return sim::coalescing_amplification(sizeof(V), cols, gpu.warp_size,
+                                       static_cast<std::size_t>(
+                                           gpu.transaction_bytes));
+}
+
+/// Memory amplification of a strided column walk on the CPU (one 64 B
+/// cache line per element).
+template <typename V>
+double invl_cpu_column_amplification() {
+  return std::max(1.0, 64.0 / static_cast<double>(sizeof(V)));
+}
+
+/// Weighted amplification for a segment of `col_cells` strided and
+/// `row_cells` contiguous accesses.
+inline double mixed_amplification(std::size_t col_cells,
+                                  std::size_t row_cells, double col_amp) {
+  const std::size_t total = col_cells + row_cells;
+  if (total == 0) return 1.0;
+  return (static_cast<double>(col_cells) * col_amp +
+          static_cast<double>(row_cells)) /
+         static_cast<double>(total);
+}
+
+/// Modelled memory amplification of a walk over front positions [lo, hi)
+/// — what the walk order costs on the table storage the model assumes.
+/// A constant for every pattern but Inverted-L, whose shells the paper's
+/// framework stores row-major (Section V-B): the column part of shell k
+/// (positions [0, rows - 1 - k), ShellLayout order) is strided at
+/// `column` per cell, the row part contiguous. The storage a store really
+/// uses does not enter the price.
+class FrontAmplification {
+ public:
+  /// 1.0 everywhere: a wavefront-contiguous walk.
+  FrontAmplification() = default;
+  explicit FrontAmplification(double constant) : constant_(constant) {}
+  /// Row-major shells of a `rows`-row table.
+  static FrontAmplification strided_shells(std::size_t rows, double column) {
+    FrontAmplification a;
+    a.shell_rows_ = rows;
+    a.column_ = column;
+    return a;
+  }
+
+  double operator()(std::size_t f, std::size_t lo, std::size_t hi) const {
+    if (shell_rows_ == 0) return constant_;
+    const std::size_t col_end = std::min(hi, shell_rows_ - 1 - f);
+    const std::size_t col_cells = col_end > lo ? col_end - lo : 0;
+    return mixed_amplification(col_cells, hi - lo - col_cells, column_);
+  }
+
+ private:
+  double constant_ = 1.0;
+  std::size_t shell_rows_ = 0;  // > 0: strided shells
+  double column_ = 1.0;
+};
 
 /// Computes one cell, reading neighbours through `read(i, j)`. `deps` and
 /// `bound` are hoisted out of the per-cell loop by the caller (they are

@@ -41,13 +41,15 @@ Grid<typename P::Value> solve_cpu_serial(const P& p, sim::Platform* platform,
 
 /// Multicore wavefront execution over the store's layout — the paper's
 /// OpenMP-style baseline: one fork/join parallel region per front.
-/// `mem_amplification` prices cache-hostile walk orders (diagonal fronts)
-/// in the model. The store (core/strategies/frontier_engine.h) decides
-/// where cells live — the whole table or a rolling window — and the
-/// schedule is the same either way.
+/// `amp` prices each front's walk order in the model (cache-hostile
+/// diagonal fronts, the strided column parts of row-major shells). The
+/// store (core/strategies/frontier_engine.h) decides where cells live —
+/// the whole table or a rolling window — and the schedule is the same
+/// either way.
 template <LddpProblem P, typename Store>
 auto solve_cpu_parallel(const P& p, Store& store, sim::Platform& platform,
-                        SolveStats* stats, double mem_amplification = 1.0,
+                        SolveStats* stats,
+                        const detail::FrontAmplification& amp = {},
                         bool batch = true) {
   using V = typename P::Value;
   Stopwatch wall;
@@ -60,14 +62,15 @@ auto solve_cpu_parallel(const P& p, Store& store, sim::Platform& platform,
     return store.addr(i, j);
   };
   sim::Platform::CpuFrontOpts opts;
-  opts.mem_amplification = mem_amplification;
   for (std::size_t f = 0; f < layout.num_fronts(); ++f) {
+    const std::size_t fs = layout.front_size(f);
+    opts.mem_amplification = amp(f, 0, fs);
     // OpenMP-style "if" clause: fronts too small to amortize the fork/join
     // run on the issuing thread.
     opts.parallel = cpu::parallel_beats_serial(
-        platform.spec().cpu, work, layout.front_size(f), mem_amplification);
+        platform.spec().cpu, work, fs, opts.mem_amplification);
     platform.cpu_front(
-        layout.front_size(f), work,
+        fs, work,
         [&](std::size_t lo, std::size_t hi) {
           detail::run_front_range(p, deps, bound, layout, f, lo, hi, addr,
                                   batch);

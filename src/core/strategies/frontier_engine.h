@@ -21,12 +21,16 @@
 //     into a FrontierTable, O(window + rows/K * cols) instead of
 //     O(rows * cols).
 //
-// The strategies' schedules are the paper's, whatever the store. The one
-// difference a store makes to simulated time: after a front with
-// GPU-computed cells, the cells it harvested travel to the host, priced
-// as one pinned download labelled "frontier.halo" (record_halo). The full
-// tier harvests nothing, so its timeline carries no halo ops; the frontier
-// tier's timeline minus its halos is the full tier's, op for op
+// The strategies' schedules and pricing are the paper's, whatever the
+// store — Inverted-L included: its shells are priced on the paper's
+// strided row-major storage (detail::FrontAmplification) whether a
+// front-major FullStore or a ShellLayout window holds them, in every
+// mode. The one difference a store makes to simulated time: after a
+// front with GPU-computed cells, the cells it harvested travel to the
+// host, priced as one pinned download labelled "frontier.halo"
+// (record_halo). The full tier harvests nothing, so its timeline carries
+// no halo ops; the frontier tier's timeline minus its halos is the full
+// tier's, op for op, for every contributing set
 // (tests/test_storage_parity.cpp).
 //
 // Consumers of a frontier table that need interior cells — tracebacks,

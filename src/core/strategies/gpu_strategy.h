@@ -19,10 +19,13 @@ namespace lddp {
 /// Per-front kernels over the store's layout. The store (a device-resident
 /// front-major table or rolling window, core/strategies/frontier_engine.h)
 /// must live in `platform`'s device memory; a window store's checkpoint
-/// halos come down after each front (record_halo).
+/// halos come down after each front (record_halo). `amp` prices each
+/// front's memory traffic: 1.0 for the wavefront-contiguous layouts, the
+/// strided column parts for Inverted-L on the paper's row-major storage.
 template <LddpProblem P, typename Store>
 auto solve_gpu(const P& p, Store& store, sim::Platform& platform,
-               SolveStats* stats, bool fused = true, bool batch = true) {
+               SolveStats* stats, const detail::FrontAmplification& amp = {},
+               bool fused = true, bool batch = true) {
   using V = typename P::Value;
   Stopwatch wall;
   const auto& layout = store.layout();
@@ -33,7 +36,7 @@ auto solve_gpu(const P& p, Store& store, sim::Platform& platform,
   auto addr = [&store](std::size_t i, std::size_t j) {
     return store.addr(i, j);
   };
-  const sim::KernelInfo info = detail::kernel_info_for(p, "gpu.front");
+  sim::KernelInfo info = detail::kernel_info_for(p, "gpu.front");
 
   // The whole compute phase — input upload plus every per-front kernel —
   // is one graph submission; nothing on the host consumes GPU data before
@@ -45,8 +48,11 @@ auto solve_gpu(const P& p, Store& store, sim::Platform& platform,
 
   for (std::size_t f = 0; f < layout.num_fronts(); ++f) {
     // Ranged body: the front runner computes each chunk's interior over
-    // stride-one neighbour spans. The kernel pricing sees only the count.
-    graph.launch(stream, info, layout.front_size(f),
+    // stride-one neighbour spans. The kernel pricing sees only the count
+    // and the front's amplification.
+    const std::size_t fs = layout.front_size(f);
+    info.mem_amplification = amp(f, 0, fs);
+    graph.launch(stream, info, fs,
                  [&](std::size_t lo, std::size_t hi) {
                    detail::run_front_range(p, deps, bound, layout, f, lo, hi,
                                            addr, batch);

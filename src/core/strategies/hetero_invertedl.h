@@ -1,234 +1,71 @@
-// Inverted-L pattern executions (Section III-C, Figure 5).
+// Heterogeneous execution of the inverted-L pattern (Section III-C,
+// Figure 5). Two phases:
 //
-// The paper's framework stores the inverted-L table in row-major order (it
-// is Section V-B's observation that no coalescing-friendly layout is used
-// for this pattern that makes horizontal case-1 the better alternative).
-// We reproduce that: shells are *enumerated* via ShellLayout, but the
-// device table is stored row-major, so each shell's column part is strided
-// — amplified memory traffic on the GPU (one 128 B transaction per lane)
-// and one cache line per element on the CPU. The shell-major storage that
-// removes the GPU penalty is available through the generic solve_gpu and
-// is measured by the coalescing ablation bench.
+//   Phase A: each shell is split — the CPU owns the left column-strip
+//            j < t_share (the whole column part plus the row cells left of
+//            the strip edge), the GPU the rest of the row part. Transfers
+//            are one-way CPU->GPU (the single NW dependency crosses the
+//            strip only leftward): after its segment of shell k the CPU
+//            ships the boundary cell (k, t_share-1), which the GPU's shell
+//            k+1 reads; shell t_share's column part reads the whole strip
+//            column, shipped in bulk with shell t_share-1's boundary cell.
+//   Phase B: the last t_switch shells — the low-work tail — run entirely
+//            on the CPU, after a bulk download of the GPU's part of the
+//            shell before them.
 //
-// Heterogeneous scheme (two phases): the CPU owns the left column-strip
-// j < t_share; transfers are one-way CPU->GPU (the single NW dependency
-// crosses the strip only leftward). The last t_switch shells — the
-// low-work tail — run entirely on the CPU.
+// Pricing is the paper's: its framework stores the inverted-L table
+// row-major (Section V-B's reason that horizontal case-1 wins Fig 8), so
+// each unit's share of a shell is priced with the strided column part
+// (detail::FrontAmplification::strided_shells) whatever store holds it.
+//
+// Both units write one host-visible store over ShellLayout (core/
+// strategies/frontier_engine.h) — the CPU owns a prefix of every shell,
+// the GPU the suffix: every transfer above is priced on the timeline, but
+// no cell is copied between host and device twins. A window store's
+// checkpoint halos come down after each shell with GPU cells
+// (record_halo).
 #pragma once
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
+#include "core/strategies/frontier_engine.h"
 #include "core/strategies/heuristics.h"
-#include "sim/coalescing.h"
 #include "sim/launch_graph.h"
 
 namespace lddp {
 
-namespace detail {
-
-/// Memory amplification of a strided column walk on the GPU (one warp
-/// transaction per lane instead of one per warp).
-template <typename V>
-double invl_gpu_column_amplification(const sim::GpuSpec& gpu,
-                                     std::size_t cols) {
-  return sim::coalescing_amplification(sizeof(V), cols, gpu.warp_size,
-                                       static_cast<std::size_t>(
-                                           gpu.transaction_bytes));
-}
-
-/// Memory amplification of a strided column walk on the CPU (one 64 B
-/// cache line per element).
-template <typename V>
-double invl_cpu_column_amplification() {
-  return std::max(1.0, 64.0 / static_cast<double>(sizeof(V)));
-}
-
-/// Weighted amplification for a segment of `col_cells` strided and
-/// `row_cells` contiguous accesses.
-inline double mixed_amplification(std::size_t col_cells,
-                                  std::size_t row_cells, double col_amp) {
-  const std::size_t total = col_cells + row_cells;
-  if (total == 0) return 1.0;
-  return (static_cast<double>(col_cells) * col_amp +
-          static_cast<double>(row_cells)) /
-         static_cast<double>(total);
-}
-
-}  // namespace detail
-
-/// Pure multicore execution of the inverted-L pattern with the per-shell
-/// cache-amplification the row-major walk incurs (used by Fig 8).
-template <LddpProblem P>
-Grid<typename P::Value> solve_cpu_invertedl(const P& p,
-                                            sim::Platform& platform,
-                                            SolveStats* stats,
-                                            bool batch = true) {
+/// `store` is over a ShellLayout in `platform`'s device memory.
+template <LddpProblem P, typename Store>
+auto solve_hetero_invertedl(const P& p, Store& store, sim::Platform& platform,
+                            const HeteroParams& user, SolveStats* stats,
+                            bool fused = true, bool batch = true) {
   using V = typename P::Value;
   Stopwatch wall;
   const std::size_t n = p.rows(), m = p.cols();
   const ContributingSet deps = p.deps();
   const V bound = p.boundary();
-  const ShellLayout layout(n, m);
+  const ShellLayout& layout = store.layout();
   const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
   const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
-  const double col_amp = detail::invl_cpu_column_amplification<V>();
-
-  Grid<V> table(n, m);
-  detail::GridReader<V> read{&table};
-  auto haddr = [&table](std::size_t i, std::size_t j) {
-    return &table.at(i, j);
-  };
-  for (std::size_t k = 0; k < layout.num_fronts(); ++k) {
-    const std::size_t fs = layout.front_size(k);
-    const std::size_t col_n = layout.column_part_size(k);
-    sim::Platform::CpuFrontOpts opts;
-    opts.mem_amplification =
-        detail::mixed_amplification(col_n, fs - col_n, col_amp);
-    opts.parallel = cpu::parallel_beats_serial(platform.spec().cpu, work, fs,
-                                               opts.mem_amplification);
-    if (use_batch) {
-      platform.cpu_front(
-          fs, work,
-          [&, k](std::size_t lo, std::size_t hi) {
-            detail::run_front_range(p, deps, bound, layout, k, lo, hi, haddr,
-                                    /*batch=*/true);
-          },
-          opts);
-    } else {
-      platform.cpu_front(
-          fs, work,
-          [&, k](std::size_t c) {
-            const CellIndex cell = layout.cell(k, c);
-            table.at(cell.i, cell.j) =
-                detail::compute_cell(p, deps, bound, cell.i, cell.j, m, read);
-          },
-          opts);
-    }
-  }
-  if (stats) {
-    stats->mode_used = Mode::kCpuParallel;
-    stats->pattern = Pattern::kInvertedL;
-    stats->transfer = TransferNeed::kNone;
-    stats->fronts = layout.num_fronts();
-    stats->cells = n * m;
-    stats->peak_table_bytes = n * m * sizeof(V);
-    detail::finish_stats(*stats, platform, wall.seconds());
-  }
-  return table;
-}
-
-/// Pure GPU execution of the inverted-L pattern on row-major storage (the
-/// paper's framework behaviour): the shell's column part is uncoalesced.
-template <LddpProblem P>
-Grid<typename P::Value> solve_gpu_invertedl(const P& p,
-                                            sim::Platform& platform,
-                                            SolveStats* stats,
-                                            bool fused = true,
-                                            bool batch = true) {
-  using V = typename P::Value;
-  Stopwatch wall;
-  const std::size_t n = p.rows(), m = p.cols();
-  const ContributingSet deps = p.deps();
-  const V bound = p.boundary();
-  const ShellLayout layout(n, m);
-  const RowMajorLayout storage(n, m);
-  const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
-  sim::Device& gpu = platform.gpu();
-  const double col_amp =
-      detail::invl_gpu_column_amplification<V>(gpu.spec(), m);
-
-  sim::DeviceBuffer<V> dtable = gpu.template alloc<V>(storage.size());
-  detail::DeviceReader<V, RowMajorLayout> dread{dtable.device_ptr(),
-                                                &storage};
-  const auto stream = gpu.default_stream();
-  // Upload + all shell kernels form one host-independent chain: fuse them.
-  sim::LaunchGraph graph(gpu, fused);
-  graph.record_h2d(stream, input_bytes_of(p), sim::MemoryKind::kPageable);
-
-  for (std::size_t k = 0; k < layout.num_fronts(); ++k) {
-    const std::size_t fs = layout.front_size(k);
-    const std::size_t col_n = layout.column_part_size(k);
-    sim::KernelInfo info = detail::kernel_info_for(p, "gpu.invl");
-    info.mem_amplification =
-        detail::mixed_amplification(col_n, fs - col_n, col_amp);
-    V* out = dtable.device_ptr();
-    if (use_batch) {
-      graph.launch(stream, info, fs,
-                   [&, k, out](std::size_t lo, std::size_t hi) {
-                     detail::run_front_range(
-                         p, deps, bound, layout, k, lo, hi,
-                         [out, &storage](std::size_t i, std::size_t j) {
-                           return out + storage.flat(i, j);
-                         },
-                         /*batch=*/true);
-                   });
-    } else {
-      graph.launch(stream, info, fs, [&, k, out](std::size_t c) {
-        const CellIndex cell = layout.cell(k, c);
-        out[storage.flat(cell.i, cell.j)] =
-            detail::compute_cell(p, deps, bound, cell.i, cell.j, m, dread);
-      });
-    }
-  }
-  graph.replay();
-
-  Grid<V> table(n, m);
-  detail::unpack_table(dtable.device_ptr(), storage, table, 0, m);
-  const sim::OpId done = gpu.record_d2h(stream, result_bytes_of(p),
-                                        sim::MemoryKind::kPageable);
-  platform.cpu_sync(done);
-
-  if (stats) {
-    stats->mode_used = Mode::kGpu;
-    stats->pattern = Pattern::kInvertedL;
-    stats->transfer = TransferNeed::kNone;
-    stats->fronts = layout.num_fronts();
-    stats->cells = n * m;
-    stats->peak_table_bytes = n * m * sizeof(V) * 2;  // device table + grid
-    detail::finish_stats(*stats, platform, wall.seconds());
-  }
-  return table;
-}
-
-/// Heterogeneous inverted-L (two phases, one-way transfers).
-template <LddpProblem P>
-Grid<typename P::Value> solve_hetero_invertedl(const P& p,
-                                               sim::Platform& platform,
-                                               const HeteroParams& user,
-                                               SolveStats* stats,
-                                               bool fused = true,
-                                               bool batch = true) {
-  using V = typename P::Value;
-  Stopwatch wall;
-  const std::size_t n = p.rows(), m = p.cols();
-  const ContributingSet deps = p.deps();
-  const V bound = p.boundary();
-  const ShellLayout layout(n, m);
-  const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
-  const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
-  const RowMajorLayout storage(n, m);
   const std::size_t num_shells = layout.num_fronts();
 
   sim::Device& gpu = platform.gpu();
   const sim::KernelInfo base_info = detail::kernel_info_for(p, "hetero.il");
+  const auto cpu_amp = detail::FrontAmplification::strided_shells(
+      n, detail::invl_cpu_column_amplification<V>());
+  const auto gpu_amp = detail::FrontAmplification::strided_shells(
+      n, detail::invl_gpu_column_amplification<V>(gpu.spec(), m));
   const HeteroParams params = detail::resolve_hetero_params(
       user, Pattern::kInvertedL, n, m, platform.spec(), base_info,
-      detail::mixed_amplification(
-          n - 1, m, detail::invl_cpu_column_amplification<V>()),
+      cpu_amp(0, 0, layout.front_size(0)),
       static_cast<double>(input_bytes_of(p)), /*two_way=*/false, fused);
   const std::size_t ts = static_cast<std::size_t>(params.t_switch);
   const std::size_t s = static_cast<std::size_t>(params.t_share);
   const std::size_t phase_b_begin = num_shells - std::min(ts, num_shells);
 
-  const double gpu_col_amp =
-      detail::invl_gpu_column_amplification<V>(gpu.spec(), m);
-  const double cpu_col_amp = detail::invl_cpu_column_amplification<V>();
-
-  Grid<V> table(n, m);
-  sim::DeviceBuffer<V> dtable = gpu.template alloc<V>(storage.size());
-  detail::GridReader<V> hread{&table};
-  detail::DeviceReader<V, RowMajorLayout> dread{dtable.device_ptr(),
-                                                &storage};
+  auto addr = [&store](std::size_t i, std::size_t j) {
+    return store.addr(i, j);
+  };
 
   const auto compute_stream = gpu.default_stream();
   const auto h2d_stream = gpu.create_stream();
@@ -250,96 +87,67 @@ Grid<typename P::Value> solve_hetero_invertedl(const P& p,
     if (k >= s) return 0;
     return layout.column_part_size(k) + (std::min(s, m) - k);
   };
+  // GPU-owned cells of shell k (the suffix after the CPU prefix).
+  auto gpu_len = [&](std::size_t k) {
+    return layout.front_size(k) - cpu_len(k);
+  };
+
+  auto run_cpu = [&](std::size_t k, std::size_t count, sim::OpId dep) {
+    sim::Platform::CpuFrontOpts opts;
+    opts.streamed = true;  // persistent framework threads, not fork/join
+    opts.mem_amplification = cpu_amp(k, 0, count);
+    opts.parallel = cpu::parallel_beats_serial(
+        platform.spec().cpu, work, count, opts.mem_amplification, true);
+    opts.dep1 = dep;
+    return platform.cpu_front(
+        count, work,
+        [&, k](std::size_t lo, std::size_t hi) {
+          detail::run_front_range(p, deps, bound, layout, k, lo, hi, addr,
+                                  batch);
+        },
+        opts);
+  };
 
   sim::OpId last_cpu = sim::kNoOp, last_gpu = sim::kNoOp;
   sim::OpId h2d_m1 = sim::kNoOp;
 
+  // ---- Phase A ----------------------------------------------------------
   for (std::size_t k = 0; k < phase_b_begin; ++k) {
     const std::size_t fs = layout.front_size(k);
-    const std::size_t col_n = layout.column_part_size(k);
-    const std::size_t c = std::min(cpu_len(k), fs);
+    const std::size_t c = cpu_len(k);
 
     sim::OpId cpu_op = sim::kNoOp;
     if (c > 0) {
-      const std::size_t cpu_rows = c - col_n;  // row-part cells j in [k, s)
-      sim::Platform::CpuFrontOpts opts;
-      opts.streamed = true;
-      opts.mem_amplification =
-          detail::mixed_amplification(col_n, cpu_rows, cpu_col_amp);
-      opts.parallel = cpu::parallel_beats_serial(
-          platform.spec().cpu, work, c, opts.mem_amplification, true);
-      if (use_batch) {
-        cpu_op = platform.cpu_front(
-            c, work,
-            [&, k](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(
-                  p, deps, bound, layout, k, lo, hi,
-                  [&table](std::size_t i, std::size_t j) {
-                    return &table.at(i, j);
-                  },
-                  /*batch=*/true);
-            },
-            opts);
-      } else {
-        cpu_op = platform.cpu_front(
-            c, work,
-            [&, k](std::size_t q) {
-              const CellIndex cell = layout.cell(k, q);
-              table.at(cell.i, cell.j) = detail::compute_cell(
-                  p, deps, bound, cell.i, cell.j, m, hread);
-            },
-            opts);
-      }
+      cpu_op = run_cpu(k, c, sim::kNoOp);
       last_cpu = cpu_op;
     }
 
     // One-way boundary transfer: the GPU's next-shell row cell (k+1, s)
-    // reads NW = (k, s-1), a CPU row-part cell of this shell.
+    // reads NW = (k, s-1), a CPU row-part cell of this shell. Shell s's
+    // column part reads the whole CPU strip column (i, s-1), i in
+    // [s, n-1): it rides along with shell s-1's boundary cell.
     sim::OpId h2d_op = sim::kNoOp;
-    if (c > 0 && s > 0 && s <= m && k <= s - 1 && s - 1 < m) {
-      dtable.device_ptr()[storage.flat(k, s - 1)] = table.at(k, s - 1);
-      std::size_t bytes = sizeof(V);
-      if (k + 1 == s) {
-        // Shell-s column part reads the whole CPU strip column (i, s-1):
-        // ship it in bulk together with this shell's boundary cell.
-        for (std::size_t i = s; i + 1 < n; ++i) {
-          dtable.device_ptr()[storage.flat(i, s - 1)] = table.at(i, s - 1);
-          bytes += sizeof(V);
-        }
-      }
-      h2d_op = graph.record_h2d(h2d_stream, bytes, sim::MemoryKind::kPinned,
-                                cpu_op);
+    if (c > 0 && s <= m) {
+      std::size_t cells = 1;
+      if (k + 1 == s && n > s + 1) cells += n - 1 - s;
+      h2d_op = graph.record_h2d(h2d_stream, cells * sizeof(V),
+                                sim::MemoryKind::kPinned, cpu_op);
     }
 
     if (c < fs) {
-      const std::size_t gpu_col = col_n > c ? col_n - c : 0;
       sim::KernelInfo info = base_info;
-      info.mem_amplification = detail::mixed_amplification(
-          gpu_col, fs - c - gpu_col, gpu_col_amp);
-      V* out = dtable.device_ptr();
-      if (use_batch) {
-        last_gpu = graph.launch(
-            compute_stream, info, fs - c,
-            [&, k, c, out](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(
-                  p, deps, bound, layout, k, c + lo, c + hi,
-                  [out, &storage](std::size_t i, std::size_t j) {
-                    return out + storage.flat(i, j);
-                  },
-                  /*batch=*/true);
-            },
-            h2d_m1);
-      } else {
-        last_gpu = graph.launch(
-            compute_stream, info, fs - c,
-            [&, k, c, out](std::size_t q) {
-              const CellIndex cell = layout.cell(k, c + q);
-              out[storage.flat(cell.i, cell.j)] = detail::compute_cell(
-                  p, deps, bound, cell.i, cell.j, m, dread);
-            },
-            h2d_m1);
-      }
+      info.mem_amplification = gpu_amp(k, c, fs);
+      last_gpu = graph.launch(
+          compute_stream, info, fs - c,
+          [&, k, c](std::size_t lo, std::size_t hi) {
+            detail::run_front_range(p, deps, bound, layout, k, c + lo, c + hi,
+                                    addr, batch);
+          },
+          h2d_m1);
     }
+    const std::size_t harvested = store.after_front(k);
+    if (c < fs)
+      detail::record_halo(graph, d2h_stream, harvested * sizeof(V), last_gpu);
     h2d_m1 = h2d_op;
   }
 
@@ -351,72 +159,29 @@ Grid<typename P::Value> solve_hetero_invertedl(const P& p,
   // Phase-B entry: the CPU's first low-work shell reads NW values from the
   // previous shell's GPU part — download it in bulk.
   sim::OpId entry_d2h = sim::kNoOp;
-  if (phase_b_begin < num_shells && phase_b_begin > 0) {
-    const std::size_t k = phase_b_begin - 1;
-    std::size_t bytes = 0;
-    for (std::size_t q = std::min(cpu_len(k), layout.front_size(k));
-         q < layout.front_size(k); ++q) {
-      const CellIndex cell = layout.cell(k, q);
-      table.at(cell.i, cell.j) =
-          dtable.device_ptr()[storage.flat(cell.i, cell.j)];
-      bytes += sizeof(V);
-    }
-    entry_d2h = gpu.record_d2h(d2h_stream, bytes, sim::MemoryKind::kPageable,
-                               last_gpu);
-  }
+  if (phase_b_begin < num_shells && phase_b_begin > 0)
+    entry_d2h = gpu.record_d2h(d2h_stream,
+                               gpu_len(phase_b_begin - 1) * sizeof(V),
+                               sim::MemoryKind::kPageable, last_gpu);
 
+  // ---- Phase B ----------------------------------------------------------
   for (std::size_t k = phase_b_begin; k < num_shells; ++k) {
-    const std::size_t fs = layout.front_size(k);
-    const std::size_t col_n = layout.column_part_size(k);
-    sim::Platform::CpuFrontOpts opts;
-    opts.streamed = true;
-    opts.mem_amplification =
-        detail::mixed_amplification(col_n, fs - col_n, cpu_col_amp);
-    opts.parallel = cpu::parallel_beats_serial(
-        platform.spec().cpu, work, fs, opts.mem_amplification, true);
-    opts.dep1 = entry_d2h;
-    if (use_batch) {
-      last_cpu = platform.cpu_front(
-          fs, work,
-          [&, k](std::size_t lo, std::size_t hi) {
-            detail::run_front_range(
-                p, deps, bound, layout, k, lo, hi,
-                [&table](std::size_t i, std::size_t j) {
-                  return &table.at(i, j);
-                },
-                /*batch=*/true);
-          },
-          opts);
-    } else {
-      last_cpu = platform.cpu_front(
-          fs, work,
-          [&, k](std::size_t q) {
-            const CellIndex cell = layout.cell(k, q);
-            table.at(cell.i, cell.j) =
-                detail::compute_cell(p, deps, bound, cell.i, cell.j, m, hread);
-          },
-          opts);
-    }
-    entry_d2h = sim::kNoOp;
+    last_cpu = run_cpu(k, layout.front_size(k), entry_d2h);
+    entry_d2h = sim::kNoOp;  // only the first phase-B shell waits on it
+    store.after_front(k);
   }
 
-  // Final download of all GPU-owned cells.
+  // Final download of all GPU-owned cells (phase-A suffixes).
   {
     std::size_t bytes = 0;
-    for (std::size_t k = 0; k < phase_b_begin; ++k) {
-      for (std::size_t q = std::min(cpu_len(k), layout.front_size(k));
-           q < layout.front_size(k); ++q) {
-        const CellIndex cell = layout.cell(k, q);
-        table.at(cell.i, cell.j) =
-            dtable.device_ptr()[storage.flat(cell.i, cell.j)];
-        bytes += sizeof(V);
-      }
-    }
+    for (std::size_t k = 0; k < phase_b_begin; ++k)
+      bytes += gpu_len(k) * sizeof(V);
     const sim::OpId fin =
         gpu.record_d2h(d2h_stream, std::min(bytes, result_bytes_of(p)),
                        sim::MemoryKind::kPageable, last_gpu);
     platform.cpu_sync(fin, last_cpu);
   }
+  auto table = store.finish();
 
   if (stats) {
     stats->mode_used = Mode::kHeterogeneous;
@@ -424,9 +189,9 @@ Grid<typename P::Value> solve_hetero_invertedl(const P& p,
     stats->transfer = transfer_need(deps);
     stats->fronts = num_shells;
     stats->cells = n * m;
-    stats->peak_table_bytes = n * m * sizeof(V) * 2;  // device twin + grid
     stats->t_switch = params.t_switch;
     stats->t_share = params.t_share;
+    stats->peak_table_bytes = store.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
   }
   return table;

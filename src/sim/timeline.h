@@ -44,11 +44,13 @@ class Timeline {
   ResourceId add_resource(std::string name);
 
   /// Records an operation of `duration_s` seconds on `resource`, starting
-  /// no earlier than the completion of every op in `deps`. Returns its id.
-  /// `label` must be a string with static storage duration (or null); it
-  /// names the op in exported traces.
+  /// no earlier than the completion of every op in `deps` nor than
+  /// `not_before` (a gate with no op behind it, e.g. a retry backoff).
+  /// Returns its id. `label` must be a string with static storage
+  /// duration (or null); it names the op in exported traces.
   OpId record(ResourceId resource, double duration_s,
-              std::span<const OpId> deps = {}, const char* label = nullptr);
+              std::span<const OpId> deps = {}, const char* label = nullptr,
+              double not_before = 0.0);
 
   /// Convenience overloads for 1/2 dependencies (hot path).
   OpId record(ResourceId resource, double duration_s, OpId dep,

@@ -57,9 +57,10 @@ class TimelineMerger {
 
   /// Admits a job. `recorded` must outlive the merge; `release` is the
   /// simulated instant before which none of its ops may start, and
-  /// `release_dep` (an op already in the shared timeline, ending at
-  /// `release`) encodes that gate as a dependency — kNoOp when the job is
-  /// admitted at time zero. Resources are matched to the shared timeline by
+  /// `release_dep` (an op already in the shared timeline, ending at or
+  /// before `release` — the slot opening, which a retry backoff follows)
+  /// is recorded as the ops' dependency on it — kNoOp when the slot opens
+  /// at time zero. Resources are matched to the shared timeline by
   /// name (they must all exist there). `packable` opts the job into
   /// cross-solve packing (no effect unless enable_packing was called).
   /// Returns the job's admission rank.

@@ -90,7 +90,9 @@ class FrontMajorIndex {
 /// element from each of ~kColBlock consecutive fronts, and the next row
 /// reads the neighbouring element of the same fronts — on the same cache
 /// line. Per-front bases are hoisted so the inner loop is one lookup plus
-/// an add. Other layouts fall back to a per-cell flat() walk.
+/// an add. Inverted-L shells copy their row parts whole and their
+/// column parts in column blocks. Other layouts fall back to a per-cell
+/// flat() walk.
 template <typename V, typename Layout>
 void unpack_front_major(const V* src, const FrontMajorIndex<Layout>& idx,
                         Grid<V>& out, std::size_t j_begin,
@@ -159,6 +161,30 @@ void unpack_front_major(const V* src, const FrontMajorIndex<Layout>& idx,
           }
         }
         for (std::size_t i = a; i < i1; ++i) row(i, j0, j1);
+      }
+    }
+  } else if constexpr (std::is_same_v<Layout, ShellLayout>) {
+    // Right of the diagonal, row i is shell i's row part: one contiguous
+    // copy. Below it, column j is shell j's column part, stored bottom-up:
+    // copied kColBlock columns at a time, row by row, so every front is
+    // read sequentially and every row segment written whole.
+    const std::size_t shells = L.num_fronts();
+    for (std::size_t i = 0; i < std::min(n, shells); ++i) {
+      const std::size_t lo = std::max(i, j_begin);
+      if (lo >= j_end) continue;
+      const V* row =
+          src + idx.front_offset(i) + L.column_part_size(i) + (lo - i);
+      std::copy(row, row + (j_end - lo), out.data() + i * m + lo);
+    }
+    constexpr std::size_t kColBlock = 16;
+    const std::size_t col_end = std::min(j_end, shells);
+    for (std::size_t j0 = j_begin; j0 < col_end; j0 += kColBlock) {
+      const std::size_t j1 = std::min(col_end, j0 + kColBlock);
+      for (std::size_t i = j0 + 1; i < n; ++i) {
+        V* dst = out.data() + i * m;
+        const std::size_t pos = n - 1 - i;
+        for (std::size_t j = j0; j < std::min(j1, i); ++j)
+          dst[j] = src[idx.front_offset(j) + pos];
       }
     }
   } else {

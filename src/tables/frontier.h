@@ -24,8 +24,8 @@
 // rematerialize each band at most once.
 //
 // The same type doubles as a facade over a fully materialized Grid
-// (Storage::kFull, or layouts without a bounded window), so consumers are
-// written once against FrontierTable and work on either tier.
+// (Storage::kFull), so consumers are written once against FrontierTable
+// and work on either tier.
 //
 // at() is const but memoizes the cached band internally: concurrent reads
 // of one FrontierTable must be externally synchronized. The remat

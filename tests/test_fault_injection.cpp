@@ -487,6 +487,62 @@ TEST(BatchLifecycle, StripWorkerFaultsRetryCleanly) {
   EXPECT_EQ(got.table, expected);
 }
 
+/// Retry backoff is service time: a retried request's first op starts no
+/// earlier than its slot opening plus the backoff it accumulated, in the
+/// merged schedule — alone on an idle platform (where nothing else would
+/// hold the op back) and in a mixed chaos batch.
+TEST(BatchLifecycle, RetriedRequestsStartAfterBackoff) {
+  using Problem = decltype(make_deps_problem(ContributingSet(1), 1, 1, 0));
+  auto check = [](const BatchReport& rep, const char* what) {
+    std::size_t retried = 0;
+    for (const BatchItemStats& item : rep.items) {
+      if (item.retries == 0 || item.failed) continue;
+      ++retried;
+      EXPECT_GT(item.backoff_seconds, 0.0) << what << " item " << item.index;
+      EXPECT_GE(item.sim_start, item.sim_dispatch + item.backoff_seconds)
+          << what << " item " << item.index;
+    }
+    EXPECT_GT(retried, 0u) << what << ": no request was retried";
+  };
+  {
+    BatchConfig bc;
+    bc.worker_threads = 0;
+    bc.threads_per_solve = 4;
+    bc.pack_solves = false;
+    bc.max_retries = 2;
+    bc.chaos = FaultPlan{};
+    bc.chaos.seed = 77;
+    bc.chaos.set_rate(Site::kStripWorker, 0.6);
+    bc.lane_pack = 0;
+    BatchEngine engine(bc);
+    const auto p = make_deps_problem(ContributingSet(0b0110), 12, 5000, 9);
+    RunConfig rc;
+    rc.mode = Mode::kCpuParallel;
+    auto f = engine.submit(p, rc);
+    ASSERT_TRUE(f.has_value());
+    check(engine.wait(), "solo");
+  }
+  {
+    BatchConfig bc;
+    bc.worker_threads = 0;
+    bc.max_retries = 3;
+    bc.chaos = FaultPlan::uniform(0xfeedface, 0.5);
+    BatchEngine engine(bc);
+    std::vector<std::future<SolveResult<Problem>>> futures;
+    for (std::size_t k = 0; k < 12; ++k) {
+      const auto p = make_deps_problem(
+          ContributingSet(static_cast<std::uint8_t>(1 + k % 15)), 32, 24,
+          k);
+      RunConfig rc;
+      rc.mode = k % 2 == 0 ? Mode::kGpu : Mode::kHeterogeneous;
+      auto f = engine.submit(p, rc);
+      ASSERT_TRUE(f.has_value());
+      futures.push_back(std::move(*f));
+    }
+    check(engine.wait(), "batch");
+  }
+}
+
 /// Lane-cohort injection: a kLaneKernel fault degrades the cohort to
 /// per-lane solo execution ("lane->solo") with bit-identical results, on
 /// both storage tiers.

@@ -214,9 +214,9 @@ TEST(FrontMajorSolveTest, DiagonalCpuWavefrontsReportTheStagingTable) {
 
 // Full-tier table high-water per mode x pattern, as reported by the store
 // or the full-table strategy: the result grid (1x), plus the front-major
-// table it is unpacked from or the device twin (2x). Row fronts on the
-// host — CPU wavefronts and the heterogeneous row split — fill the grid
-// in place.
+// table it is unpacked from (2x). Row fronts on the host — CPU wavefronts
+// and the heterogeneous row split — fill the grid in place; Inverted-L
+// shells, like every other non-row front, stage front-major.
 TEST(FrontMajorSolveTest, PeakTableBytesPerModeAndPattern) {
   constexpr std::size_t n = 40, m = 70;
   struct Row {
@@ -228,7 +228,7 @@ TEST(FrontMajorSolveTest, PeakTableBytesPerModeAndPattern) {
       {0b0101, Pattern::kAntiDiagonal, 1, 2, 1, 2, 2},  // W + N
       {0b0100, Pattern::kHorizontal, 1, 1, 1, 2, 1},    // N
       {0b1001, Pattern::kKnightMove, 1, 2, 1, 2, 2},    // W + NE
-      {0b0010, Pattern::kInvertedL, 1, 1, 1, 2, 2},     // NW
+      {0b0010, Pattern::kInvertedL, 1, 2, 1, 2, 2},     // NW
   };
   for (const Row& row : rows) {
     const ContributingSet deps(static_cast<std::uint8_t>(row.mask));

@@ -228,6 +228,35 @@ TEST(FrontierStorage, SerialScanPeakMatchesParallelWindow) {
   EXPECT_EQ(serial.stats.checkpoint_rows, parallel.stats.checkpoint_rows);
 }
 
+// Inverted-L and its mirror are linear-space in every mode on the
+// frontier tier: the heterogeneous shell split writes the same
+// ShellLayout window as the CPU and GPU strategies, so all three report
+// the same high-water — checkpoint rows, last row and two shells — far
+// below the grid.
+TEST(FrontierStorage, InvertedLHeteroPeakIsTheWindow) {
+  constexpr std::size_t n = 256, m = 300;
+  for (const int mask : {0b0010, 0b1000}) {  // {NW}, {NE}
+    const auto p = make_probe(Case{mask, n, m});
+    const std::string what = ContributingSet(
+        static_cast<std::uint8_t>(mask)).to_string();
+    RunConfig cfg;
+    cfg.storage = Storage::kFrontier;
+    cfg.checkpoint_interval = 16;
+    cfg.mode = Mode::kHeterogeneous;
+    cfg.hetero = {8, 100};
+    const auto hetero = solve_frontier(p, cfg);
+    ASSERT_TRUE(hetero.table.frontier()) << what;
+    EXPECT_EQ(hetero.stats.checkpoint_rows, (n - 1) / 16 + 1) << what;
+    EXPECT_LT(hetero.stats.peak_table_bytes, n * m * sizeof(V) / 8) << what;
+    for (const Mode mode : {Mode::kCpuParallel, Mode::kGpu}) {
+      cfg.mode = mode;
+      EXPECT_EQ(solve_frontier(p, cfg).stats.peak_table_bytes,
+                hetero.stats.peak_table_bytes)
+          << what << " " << to_string(mode);
+    }
+  }
+}
+
 // A shared BufferPool serving frontier solves reports live/peak bytes
 // and reuse: the second identical solve should hit the arena cache.
 TEST(FrontierStorage, BufferPoolHighWater) {

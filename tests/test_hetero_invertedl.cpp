@@ -1,10 +1,13 @@
 // Behavioural tests of the inverted-L executions: one-way transfers, the
 // row-major storage penalty (Section V-B), and the horizontal-case-1
-// alternative beating it — the paper's Fig 8 conclusion.
+// alternative beating it — the paper's Fig 8 conclusion. Correctness runs
+// on both storage tiers: solve() and solve_frontier(), whose table is
+// read cell by cell through at().
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/framework.h"
-#include "core/strategies/hetero_invertedl.h"
 #include "problems/synthetic.h"
 
 namespace lddp {
@@ -12,6 +15,24 @@ namespace {
 
 problems::MaxNwProblem make_problem(std::size_t n, std::uint64_t seed) {
   return problems::MaxNwProblem(problems::random_input_grid(n, n, seed), 3);
+}
+
+/// solve_frontier of `p` under `cfg` (frontier tier, a small checkpoint
+/// interval so rematerialized bands are read) against the reference grid,
+/// every cell through at().
+template <typename P, typename V>
+void expect_frontier_matches(const P& p, RunConfig cfg, const Grid<V>& ref,
+                             const std::string& what) {
+  cfg.storage = Storage::kFrontier;
+  cfg.checkpoint_interval = 3;
+  const auto r = solve_frontier(p, cfg);
+  ASSERT_TRUE(r.table.frontier()) << what;
+  ASSERT_EQ(r.table.rows(), ref.rows()) << what;
+  ASSERT_EQ(r.table.cols(), ref.cols()) << what;
+  for (std::size_t i = 0; i < ref.rows(); ++i)
+    for (std::size_t j = 0; j < ref.cols(); ++j)
+      ASSERT_EQ(r.table.at(i, j), ref.at(i, j))
+          << what << " cell (" << i << ", " << j << ")";
 }
 
 TEST(HeteroInvertedLTest, MatchesSerialReference) {
@@ -23,8 +44,10 @@ TEST(HeteroInvertedLTest, MatchesSerialReference) {
   for (HeteroParams hp : {HeteroParams{-1, -1}, HeteroParams{0, 0},
                           HeteroParams{10, 30}, HeteroParams{5, 200}}) {
     cfg.hetero = hp;
-    EXPECT_EQ(solve(p, cfg).table, ref.table)
-        << hp.t_switch << "/" << hp.t_share;
+    const std::string what =
+        std::to_string(hp.t_switch) + "/" + std::to_string(hp.t_share);
+    EXPECT_EQ(solve(p, cfg).table, ref.table) << what;
+    expect_frontier_matches(p, cfg, ref.table, what);
   }
 }
 
@@ -40,14 +63,18 @@ TEST(HeteroInvertedLTest, TransfersAreOneWay) {
 }
 
 TEST(HeteroInvertedLTest, RowMajorStoragePenalizesGpu) {
-  // The paper's framework runs inverted-L on row-major storage; the
-  // shell-contiguous layout (generic solve_gpu over ShellLayout) removes
-  // the column-part coalescing penalty and must be faster in simulation.
-  // (Needs shells big enough to leave the launch-latency floor.)
+  // The paper's framework runs inverted-L on row-major storage, which is
+  // how solve() prices it; solve_gpu over ShellLayout without the strided
+  // pricing is the shell-contiguous layout, which removes the column-part
+  // coalescing penalty and must be faster in simulation. (Needs shells
+  // big enough to leave the launch-latency floor.)
   const auto p = make_problem(2048, 3);
-  sim::Platform strided(sim::PlatformSpec::hetero_high());
-  SolveStats strided_stats;
-  const auto a = solve_gpu_invertedl(p, strided, &strided_stats);
+  RunConfig cfg;
+  cfg.mode = Mode::kGpu;
+  cfg.platform = sim::PlatformSpec::hetero_high();
+  const auto strided = solve(p, cfg);
+  const auto& a = strided.table;
+  const SolveStats& strided_stats = strided.stats;
 
   sim::Platform coalesced(sim::PlatformSpec::hetero_high());
   SolveStats coalesced_stats;
@@ -103,6 +130,7 @@ TEST(HeteroInvertedLTest, MirroredVariantViaSymmetry) {
     const auto r = solve(p, cfg);
     EXPECT_EQ(r.table, ref.table) << to_string(mode);
     EXPECT_EQ(r.stats.pattern, Pattern::kMirroredInvertedL);
+    expect_frontier_matches(p, cfg, ref.table, to_string(mode));
   }
 }
 
@@ -117,7 +145,9 @@ TEST(HeteroInvertedLTest, RectangularShapes) {
     cfg.mode = Mode::kCpuSerial;
     const auto ref = solve(p, cfg);
     cfg.mode = Mode::kHeterogeneous;
-    EXPECT_EQ(solve(p, cfg).table, ref.table) << n << "x" << m;
+    const std::string what = std::to_string(n) + "x" + std::to_string(m);
+    EXPECT_EQ(solve(p, cfg).table, ref.table) << what;
+    expect_frontier_matches(p, cfg, ref.table, what);
   }
 }
 
