@@ -306,20 +306,25 @@ struct LanePayload {
   sim::PlatformSpec platform;
 };
 
-/// Coarse estimated table residency of a request, for the admission
-/// memory budget: the full grid, or — on the frontier tier — checkpoint
-/// rows + last row + the rolling front rows. Device-side copies are
-/// deliberately not modelled (the budget meters host table residency).
-template <LddpProblem P>
+/// Table residency of a request on tier kTier, for the admission memory
+/// budget: the stats.peak_table_bytes its solve will report. A lane job
+/// (`lane`) runs a row sweep over its own store — the whole grid, or
+/// checkpoints, last row and a one- or two-row window — plus the cohort's
+/// two rolling lane-major rows.
+template <Storage kTier, LddpProblem P>
 std::size_t estimate_table_bytes(const P& p, const RunConfig& rc,
-                                 bool frontier) {
+                                 bool lane) {
   using V = typename P::Value;
-  if (!frontier || rc.storage == Storage::kFull)
-    return p.rows() * p.cols() * sizeof(V);
-  const std::size_t k =
-      resolve_checkpoint_interval(rc.checkpoint_interval, p.rows());
-  const std::size_t resident_rows = (p.rows() - 1) / k + 2;  // ckpts + last
-  return (resident_rows + 2) * p.cols() * sizeof(V);
+  if (!lane) return peak_table_bytes<kTier>(p, rc);
+  const RowMajorLayout rows(p.rows(), p.cols());
+  std::size_t store = 0;
+  if constexpr (kTier == Storage::kFrontier)
+    store = WindowStore<V, RowMajorLayout>::peak_bytes(
+        rows, p.deps(),
+        resolve_checkpoint_interval(rc.checkpoint_interval, p.rows()));
+  else
+    store = FullStore<V, RowMajorLayout>::peak_bytes(rows, false);
+  return store + 2 * p.cols() * sizeof(V);
 }
 
 }  // namespace detail
@@ -529,8 +534,6 @@ class BatchEngine {
         cfg_.platform, work_profile_of(problem), cells);
     job->packable =
         rc.pack_solves == -1 ? cfg_.pack_solves : rc.pack_solves != 0;
-    job->est_table_bytes =
-        detail::estimate_table_bytes(problem, rc, kFrontier);
     auto sp = std::make_shared<const P>(std::move(problem));
     // Lane packing: small CPU-resolved requests become cohort-groupable
     // lane jobs, executed by lane_exec over the whole cohort instead of
@@ -544,8 +547,14 @@ class BatchEngine {
     const bool lane_sized =
         kFrontier ? rc.storage != Storage::kFull
                   : cells <= detail::kLaneMaxCells;
-    if (lane_limit() > 1 && rc.batch_kernels && lane_sized &&
-        (resolved == Mode::kCpuSerial || resolved == Mode::kCpuParallel)) {
+    const bool lane =
+        lane_limit() > 1 && rc.batch_kernels && lane_sized &&
+        (resolved == Mode::kCpuSerial || resolved == Mode::kCpuParallel);
+    RunConfig est_rc = rc;
+    est_rc.platform = cfg_.platform;
+    job->est_table_bytes =
+        detail::estimate_table_bytes<kTier>(*sp, est_rc, lane);
+    if (lane) {
       job->lane_key = make_solve_class_key(*sp, rc).token();
       if (kFrontier) job->lane_key += "|frontier";
       job->lane_exec = &BatchEngine::lane_exec_impl<kTier, P>;

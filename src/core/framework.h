@@ -92,6 +92,52 @@ auto pattern_layout(std::size_t n, std::size_t m) {
     return ShellLayout(n, m);
 }
 
+/// Whether a parallel strategy's store of pattern kPattern on tier kTier
+/// lives in simulated device memory under `mode` (a resolved parallel
+/// mode). The CPU keeps it on the host, and so does the heterogeneous
+/// Horizontal strategy on the full tier: both strips of a row land in one
+/// host-visible table, the result grid itself, with no device twin.
+template <Storage kTier, Pattern kPattern>
+constexpr bool store_on_device(Mode mode) {
+  if (mode == Mode::kCpuParallel) return false;
+  return !(kTier == Storage::kFull && kPattern == Pattern::kHorizontal &&
+           mode == Mode::kHeterogeneous);
+}
+
+/// The stats.peak_table_bytes that solve_canonical<kTier, kPattern>(p, cfg)
+/// reports, without running it: the store's static formula for the mode's
+/// store, the whole grid for the serial and tiled CPU scans, and grid plus
+/// device twin for the tiled device layer.
+template <Storage kTier, Pattern kPattern, LddpProblem P>
+std::size_t canonical_peak_table_bytes(const P& p, const RunConfig& cfg) {
+  using V = typename P::Value;
+  constexpr bool kWindow = kTier == Storage::kFrontier;
+  const std::size_t n = p.rows(), m = p.cols();
+  Mode mode = resolve_auto(cfg.mode, n * m);
+  if (kWindow && mode == Mode::kCpuTiled) mode = Mode::kCpuParallel;
+  const std::size_t K =
+      kWindow ? resolve_checkpoint_interval(cfg.checkpoint_interval, n) : 0;
+  if (mode == Mode::kCpuSerial) {
+    const RowMajorLayout rows(n, m);
+    if constexpr (kWindow)
+      return WindowStore<V, RowMajorLayout>::peak_bytes(rows, p.deps(), K);
+    else
+      return FullStore<V, RowMajorLayout>::peak_bytes(rows, false);
+  }
+  if constexpr (!kWindow) {
+    if (mode == Mode::kCpuTiled) return n * m * sizeof(V);
+    if (mode != Mode::kCpuParallel && resolve_tile(p, cfg) > 0)
+      return 2 * n * m * sizeof(V);
+  }
+  const auto layout = pattern_layout<kPattern>(n, m);
+  using Layout = std::remove_cvref_t<decltype(layout)>;
+  if constexpr (kWindow)
+    return WindowStore<V, Layout>::peak_bytes(layout, p.deps(), K);
+  else
+    return FullStore<V, Layout>::peak_bytes(
+        layout, store_on_device<kTier, kPattern>(mode));
+}
+
 /// The mode dispatch of canonical pattern kPattern on both storage tiers.
 /// Every parallel strategy runs over a store of the tier (core/strategies/
 /// frontier_engine.h): a FullStore on Storage::kFull, a WindowStore on
@@ -133,6 +179,8 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
   const bool fused = cfg.fused_launches;
   const bool batch = cfg.batch_kernels;
   sim::Device* const gpu = &platform.gpu();
+  sim::Device* const store_device =
+      store_on_device<kTier, kPattern>(mode) ? gpu : nullptr;
   TierResult<kTier, P> result;
   SolveStats* const stats = &result.stats;
   // Modelled memory amplification of the pattern's walk order on each
@@ -149,17 +197,17 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
   }
 
   // Runs `strategy(store)` over a store of this tier on the pattern's
-  // layout, held in `device` memory (null: host).
-  auto run = [&](sim::Device* device, auto&& strategy) {
+  // layout, held where store_on_device puts it.
+  auto run = [&](auto&& strategy) {
     const auto layout = pattern_layout<kPattern>(n, m);
     using Layout = std::remove_cvref_t<decltype(layout)>;
     if constexpr (kWindow) {
-      WindowStore<V, Layout> store(layout, deps, K, device);
+      WindowStore<V, Layout> store(layout, deps, K, store_device);
       result.table = strategy(store);
       stats->checkpoint_interval = K;
       stats->checkpoint_rows = result.table.checkpoint_row_count();
     } else {
-      FullStore<V, Layout> store(layout, device);
+      FullStore<V, Layout> store(layout, store_device);
       result.table = strategy(store);
     }
   };
@@ -179,7 +227,7 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
       break;
 
     case Mode::kCpuParallel:
-      run(nullptr, [&](auto& store) {
+      run([&](auto& store) {
         return solve_cpu_parallel(p, store, platform, stats, cpu_amp, batch);
       });
       break;
@@ -191,7 +239,7 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
           break;
         }
       }
-      run(gpu, [&](auto& store) {
+      run([&](auto& store) {
         return solve_gpu(p, store, platform, stats, gpu_amp, fused, batch);
       });
       break;
@@ -205,24 +253,22 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
         }
       }
       if constexpr (kPattern == Pattern::kAntiDiagonal) {
-        run(gpu, [&](auto& store) {
+        run([&](auto& store) {
           return solve_hetero_antidiagonal(p, store, platform, cfg.hetero,
                                            stats, fused, batch);
         });
       } else if constexpr (kPattern == Pattern::kHorizontal) {
-        // Both strips of a row land in one host-visible table: on the
-        // full tier that is the result grid itself, with no device twin.
-        run(kWindow ? gpu : nullptr, [&](auto& store) {
+        run([&](auto& store) {
           return solve_hetero_horizontal(p, store, platform, cfg.hetero,
                                          stats, fused, batch);
         });
       } else if constexpr (kPattern == Pattern::kKnightMove) {
-        run(gpu, [&](auto& store) {
+        run([&](auto& store) {
           return solve_hetero_knightmove(p, store, platform, cfg.hetero,
                                          stats, fused, batch);
         });
       } else {
-        run(gpu, [&](auto& store) {
+        run([&](auto& store) {
           return solve_hetero_invertedl(p, store, platform, cfg.hetero, stats,
                                         fused, batch);
         });
@@ -259,6 +305,33 @@ TierResult<kTier, P> solve_canonical(const P& p, Pattern pattern,
       LDDP_CHECK_MSG(false, "non-canonical pattern reached dispatch");
   }
   return {};
+}
+
+/// The stats.peak_table_bytes that solve(p, cfg) (kFull) or
+/// solve_frontier(p, cfg) (kFrontier) reports, without running it.
+template <Storage kTier, LddpProblem P>
+std::size_t peak_table_bytes(const P& p, const RunConfig& cfg) {
+  if (kTier == Storage::kFrontier && cfg.storage == Storage::kFull)
+    return peak_table_bytes<Storage::kFull>(p, cfg);
+  switch (classify(p.deps())) {
+    case Pattern::kAntiDiagonal:
+      return canonical_peak_table_bytes<kTier, Pattern::kAntiDiagonal>(p,
+                                                                       cfg);
+    case Pattern::kHorizontal:
+      return canonical_peak_table_bytes<kTier, Pattern::kHorizontal>(p, cfg);
+    case Pattern::kKnightMove:
+      return canonical_peak_table_bytes<kTier, Pattern::kKnightMove>(p, cfg);
+    case Pattern::kInvertedL:
+      return canonical_peak_table_bytes<kTier, Pattern::kInvertedL>(p, cfg);
+    case Pattern::kVertical:
+      return canonical_peak_table_bytes<kTier, Pattern::kHorizontal>(
+          TransposedProblem<P>(p), cfg);
+    case Pattern::kMirroredInvertedL:
+      return canonical_peak_table_bytes<kTier, Pattern::kInvertedL>(
+          MirroredProblem<P>(p), cfg);
+    default:
+      return p.rows() * p.cols() * sizeof(typename P::Value);
+  }
 }
 
 /// Shared body of the solve_frontier overloads. `holder` is a copyable

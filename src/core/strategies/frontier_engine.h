@@ -308,7 +308,7 @@ class FullStore {
  public:
   /// `device` null keeps the table in host memory.
   explicit FullStore(const Layout& layout, sim::Device* device = nullptr)
-      : in_place_(std::is_same_v<Layout, RowMajorLayout> && device == nullptr),
+      : in_place_(fills_grid(device != nullptr)),
         idx_(in_place_ ? FrontMajorIndex<Layout>(layout)
                        : FrontMajorIndex<Layout>(layout, sizeof(V))) {
     if (in_place_) {
@@ -328,13 +328,20 @@ class FullStore {
     if (!in_place_) grid_ = unpack_front_major(data_, idx_);
     return std::move(grid_);
   }
-  /// The result Grid, plus the front-major table it is unpacked from.
-  std::size_t peak_bytes() const {
-    return layout().rows() * layout().cols() * sizeof(V) *
-           (in_place_ ? 1 : 2);
+  /// The result Grid, plus the front-major table it is unpacked from
+  /// unless the store fills the Grid in place. Static, so admission can
+  /// price a request before it runs (BatchEngine's memory budget).
+  static std::size_t peak_bytes(const Layout& layout, bool device) {
+    return layout.rows() * layout.cols() * sizeof(V) *
+           (fills_grid(device) ? 1 : 2);
   }
+  std::size_t peak_bytes() const { return peak_bytes(layout(), !in_place_); }
 
  private:
+  static constexpr bool fills_grid(bool device) {
+    return std::is_same_v<Layout, RowMajorLayout> && !device;
+  }
+
   bool in_place_;
   FrontMajorIndex<Layout> idx_;
   detail::StoreMemory<V> memory_;
@@ -359,8 +366,18 @@ class WindowStore {
     LDDP_CHECK_MSG(window_.w > 0,
                    "layout/deps pair has no bounded frontier window");
     window_.base = memory_.acquire(window_.w * window_.stride, device);
-    peak_bytes_ =
-        table_.resident_bytes() + window_.w * window_.stride * sizeof(V);
+    peak_bytes_ = peak_bytes(layout, deps, K);
+  }
+
+  /// Checkpoints, last row and the window of a store over (layout, deps,
+  /// K), before it is built.
+  static std::size_t peak_bytes(const Layout& layout, ContributingSet deps,
+                                std::size_t K) {
+    return FrontierTable<V>::checkpointed_bytes(layout.rows(),
+                                                layout.cols(), K) +
+           detail::frontier_window_fronts(layout, deps) *
+               detail::FrontWindow<V, Layout>::slot_stride(layout) *
+               sizeof(V);
   }
 
   const Layout& layout() const { return *window_.layout; }

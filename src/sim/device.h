@@ -150,7 +150,7 @@ class Device {
     execute_cells(num_cells, body);
     const double seconds = kernel_seconds(spec_, info, num_cells);
     const OpId op =
-        enqueue(stream, compute_res_, seconds, extra_dep, "kernel");
+        enqueue(stream, compute_res_, seconds, extra_dep, info.name);
     tl_->annotate_pack(
         op, seconds - kernel_packed_exec_seconds(spec_, info, num_cells));
     return op;

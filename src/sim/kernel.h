@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "cpu/cost_model.h"
 #include "sim/device_spec.h"
@@ -28,7 +27,9 @@ namespace lddp::sim {
 /// Launch-time description of a kernel; the cost model reads everything it
 /// needs from here plus the GpuSpec.
 struct KernelInfo {
-  std::string name = "kernel";
+  /// Timeline label of the kernel's launches: a string with static
+  /// storage (Timeline::record keeps the pointer).
+  const char* name = "kernel";
   int block_size = 256;  ///< threads per block (affects tail waste only)
   cpu::WorkProfile work;  ///< shared CPU/GPU per-cell work profile
   /// Memory-traffic multiplier from the coalescing model (>= 1.0).

@@ -86,7 +86,7 @@ class LaunchGraph {
     return add_node(stream, dev_->compute_res_,
                     kernel_exec_seconds(dev_->spec_, info, num_cells),
                     kernel_packed_exec_seconds(dev_->spec_, info, num_cells),
-                    extra_dep, "kernel");
+                    extra_dep, info.name);
   }
 
   /// Device::launch_tiled, graph-aware: a block-per-tile kernel whose

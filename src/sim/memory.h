@@ -27,6 +27,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "util/block_cache.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
 
@@ -241,12 +242,20 @@ namespace detail {
 
 /// Shared storage logic of DeviceBuffer / PinnedBuffer: zeroed elements,
 /// optionally borrowed from a BufferPool (trivially-copyable T only — the
-/// pool hands out raw zeroed bytes) and returned to it on release.
+/// pool hands out raw zeroed bytes) and returned to it on release. Without
+/// a pool, table-sized storage of trivially-copyable T comes from the
+/// process-wide BlockCache (util/block_cache.h), so a solo solve's device
+/// table reuses the pages the previous solve faulted in.
 template <typename T>
 struct PooledStorage {
   T* data = nullptr;
   std::size_t size = 0;
   BufferPool* pool = nullptr;
+
+  static constexpr bool block_cached(std::size_t count) {
+    return std::is_trivially_copyable_v<T> &&
+           BlockCache::cached(count * sizeof(T));
+  }
 
   void acquire(std::size_t count, BufferPool* from, bool pinned,
                bool zeroed = true) {
@@ -257,6 +266,14 @@ struct PooledStorage {
             static_cast<T*>(from->acquire(count * sizeof(T), pinned, zeroed));
         size = count;
         pool = from;
+        return;
+      }
+      if (block_cached(count)) {
+        data = static_cast<T*>(
+            BlockCache::instance().allocate(count * sizeof(T)));
+        if (zeroed)
+          std::memset(static_cast<void*>(data), 0, count * sizeof(T));
+        size = count;
         return;
       }
       if (!zeroed) {
@@ -273,6 +290,8 @@ struct PooledStorage {
     if (data == nullptr) return;
     if (pool != nullptr)
       pool->release(data, size * sizeof(T), pinned);
+    else if (block_cached(size))
+      BlockCache::instance().deallocate(data, size * sizeof(T));
     else
       delete[] data;
     data = nullptr;

@@ -100,6 +100,11 @@ class FrontierTable {
     t.last_.resize(cols);
     return t;
   }
+  /// resident_bytes() of checkpointed(rows, cols, k).
+  static std::size_t checkpointed_bytes(std::size_t rows, std::size_t cols,
+                                        std::size_t k) {
+    return (((rows - 1) / k + 1) * cols + cols) * sizeof(V);
+  }
 
   bool frontier() const { return k_ != 0; }
   std::size_t checkpoint_interval() const { return k_; }
@@ -163,7 +168,7 @@ class FrontierTable {
   /// or the whole grid on the full tier).
   std::size_t resident_bytes() const {
     if (!frontier()) return crows_ * ccols_ * sizeof(V);
-    return (ckpt_.size() + last_.size()) * sizeof(V);
+    return checkpointed_bytes(crows_, ccols_, k_);
   }
   /// resident_bytes plus the largest band scratch materialized so far.
   std::size_t peak_bytes() const {

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/block_cache.h"
 #include "util/check.h"
 
 namespace lddp {
@@ -19,13 +20,28 @@ namespace detail {
 /// Allocator adaptor that turns the container's value-initialization into
 /// default-initialization: vector<T, ...>(n) leaves trivial T unwritten.
 /// Only Grid::uninitialized uses this path; every other construction still
-/// value-initializes through the (n, fill) overload.
+/// value-initializes through the (n, fill) overload. Table-sized storage
+/// comes from the process-wide BlockCache (util/block_cache.h), so the
+/// next solve's table reuses pages this one already faulted in; smaller
+/// grids keep std::allocator's call.
 template <typename T>
 struct DefaultInitAlloc : std::allocator<T> {
+  static_assert(alignof(T) <= BlockCache::kBlockAlign);
   template <typename U>
   struct rebind {
     using other = DefaultInitAlloc<U>;
   };
+  T* allocate(std::size_t n) {
+    if (BlockCache::cached(n * sizeof(T)))
+      return static_cast<T*>(BlockCache::instance().allocate(n * sizeof(T)));
+    return std::allocator<T>::allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) {
+    if (BlockCache::cached(n * sizeof(T)))
+      BlockCache::instance().deallocate(p, n * sizeof(T));
+    else
+      std::allocator<T>::deallocate(p, n);
+  }
   template <typename U>
   void construct(U* p) {
     ::new (static_cast<void*>(p)) U;

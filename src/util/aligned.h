@@ -6,7 +6,8 @@
 // base is 64-byte aligned. Elements are left uninitialized — every user
 // overwrites the buffer before reading it (scratch is fully packed, lane
 // grids fully computed), and skipping the zero-fill is the point of a
-// scratch buffer.
+// scratch buffer. Table-sized buffers (the host staging of a full-table
+// solve) come from the process-wide BlockCache (util/block_cache.h).
 #pragma once
 
 #include <cstddef>
@@ -14,9 +15,12 @@
 #include <type_traits>
 #include <utility>
 
+#include "util/block_cache.h"
+
 namespace lddp {
 
 inline constexpr std::size_t kSimdAlign = 64;
+static_assert(BlockCache::kBlockAlign % kSimdAlign == 0);
 
 template <typename T>
 class AlignedBuf {
@@ -49,7 +53,9 @@ class AlignedBuf {
     if (n > cap_) {
       release();
       ptr_ = static_cast<T*>(
-          ::operator new(n * sizeof(T), std::align_val_t{kSimdAlign}));
+          BlockCache::cached(n * sizeof(T))
+              ? BlockCache::instance().allocate(n * sizeof(T))
+              : ::operator new(n * sizeof(T), std::align_val_t{kSimdAlign}));
       cap_ = n;
     }
     return ptr_;
@@ -61,7 +67,10 @@ class AlignedBuf {
 
  private:
   void release() {
-    if (ptr_ != nullptr)
+    if (ptr_ == nullptr) return;
+    if (BlockCache::cached(cap_ * sizeof(T)))
+      BlockCache::instance().deallocate(ptr_, cap_ * sizeof(T));
+    else
       ::operator delete(ptr_, std::align_val_t{kSimdAlign});
     ptr_ = nullptr;
     cap_ = 0;

@@ -36,9 +36,11 @@ TEST(CalibrateTest, HeavierFunctionsMeasureSlower) {
   struct Heavy : Light {
     Value compute(std::size_t i, std::size_t j,
                   const Neighbors<Value>& nb) const {
-      Value v = nb.n;
-      for (int k = 0; k < 64; ++k) v = v * 6364136223846793005LL + 1442695040888963407LL;
-      return v + static_cast<Value>(i * j);
+      // Unsigned, so the LCG wraps instead of overflowing.
+      std::uint64_t v = static_cast<std::uint64_t>(nb.n);
+      for (int k = 0; k < 64; ++k)
+        v = v * 6364136223846793005ULL + 1442695040888963407ULL;
+      return static_cast<Value>(v + i * j);
     }
   };
   const auto spec = CpuSpec::i7_980();

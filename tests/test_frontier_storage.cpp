@@ -570,6 +570,61 @@ TEST(FrontierBatch, LaneJobsReportSoloSerialStats) {
   }
 }
 
+// The admission estimate is the peak_table_bytes the solve reports, for
+// every contributing set (so every pattern and both symmetric
+// reductions), on both tiers, in every mode — including the staged
+// full tier (grid + front-major table) and frontier windows of several
+// fronts, which a rows-of-cols estimate under-counts.
+TEST(FrontierBatch, TableEstimateIsReportedPeak) {
+  for (int mask = 1; mask <= 15; ++mask) {
+    const auto p = make_probe({mask, 57, 41});
+    for (Mode mode : {Mode::kCpuSerial, Mode::kCpuParallel, Mode::kGpu,
+                      Mode::kHeterogeneous}) {
+      RunConfig rc;
+      rc.mode = mode;
+      const std::string what =
+          "mask " + std::to_string(mask) + " " + to_string(mode);
+      EXPECT_EQ(detail::estimate_table_bytes<Storage::kFull>(p, rc, false),
+                solve(p, rc).stats.peak_table_bytes)
+          << what << " full";
+      rc.storage = Storage::kFrontier;
+      rc.checkpoint_interval = 5;
+      EXPECT_EQ(
+          detail::estimate_table_bytes<Storage::kFrontier>(p, rc, false),
+          solve_frontier(p, rc).stats.peak_table_bytes)
+          << what << " frontier";
+    }
+  }
+}
+
+// Through the engine: a lane job's charge is its lane store plus the two
+// lane-major rows, a solo job's its solve's peak.
+TEST(FrontierBatch, AdmissionChargesReportedPeak) {
+  const auto p = make_lane_case(5);
+  for (Mode mode : {Mode::kCpuParallel, Mode::kGpu}) {
+    RunConfig rc;
+    rc.mode = mode;
+    BatchConfig bc;
+    bc.worker_threads = 0;
+    BatchEngine full_engine(bc);
+    auto ff = full_engine.submit(p, rc);
+    ASSERT_TRUE(ff.has_value());
+    const std::size_t full_charge =
+        full_engine.wait().peak_inflight_table_bytes;
+    EXPECT_EQ(full_charge, ff->get().stats.peak_table_bytes)
+        << to_string(mode);
+
+    rc.storage = Storage::kFrontier;
+    BatchEngine frontier_engine(bc);
+    auto fr = frontier_engine.submit_frontier(p, rc);
+    ASSERT_TRUE(fr.has_value());
+    const std::size_t frontier_charge =
+        frontier_engine.wait().peak_inflight_table_bytes;
+    EXPECT_EQ(frontier_charge, fr->get().stats.peak_table_bytes)
+        << to_string(mode);
+  }
+}
+
 // Admission by table-memory budget: with a budget that fits one request,
 // in-flight table bytes never exceed it, everything still completes, and
 // an over-budget request force-admits alone instead of starving.

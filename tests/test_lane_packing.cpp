@@ -107,12 +107,14 @@ TEST(LanePacking, AllContributingSetsAllCohortSizes) {
           rows, cols, deps, std::int64_t{0},
           [deps](std::size_t i, std::size_t j,
                  const Neighbors<std::int64_t>& nb) {
-            std::int64_t r = static_cast<std::int64_t>(i * 31 + j);
-            if (deps.has_w()) r ^= nb.w;
-            if (deps.has_nw()) r += nb.nw + 1;
-            if (deps.has_n()) r ^= nb.n << 1;
-            if (deps.has_ne()) r -= nb.ne;
-            return r;
+            // Unsigned, so the mixing wraps instead of overflowing.
+            using U = std::uint64_t;
+            U r = i * 31 + j;
+            if (deps.has_w()) r ^= static_cast<U>(nb.w);
+            if (deps.has_nw()) r += static_cast<U>(nb.nw) + 1;
+            if (deps.has_n()) r ^= static_cast<U>(nb.n) << 1;
+            if (deps.has_ne()) r -= static_cast<U>(nb.ne);
+            return static_cast<std::int64_t>(r);
           });
     };
     for (std::size_t cohort : {2u, 3u, 4u, 8u}) {

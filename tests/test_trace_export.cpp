@@ -1,13 +1,16 @@
 // Chrome-trace export of the simulated schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "core/framework.h"
 #include "problems/alignment.h"
 #include "problems/levenshtein.h"
+#include "sim/launch_graph.h"
 #include "sim/platform.h"
 
 namespace lddp {
@@ -59,9 +62,54 @@ TEST(TraceExportTest, SolveHonoursTracePath) {
   solve(p, cfg);
   const std::string body = slurp(cfg.trace_path);
   EXPECT_NE(body.find("\"cpu\""), std::string::npos);
-  EXPECT_NE(body.find("\"kernel\""), std::string::npos);
+  // Kernels carry their strategy's KernelInfo name.
+  EXPECT_NE(body.find("\"hetero.ad\""), std::string::npos);
+  EXPECT_EQ(body.find("\"kernel\""), std::string::npos);
   EXPECT_NE(body.find("\"h2d\""), std::string::npos);
   std::remove(cfg.trace_path.c_str());
+
+  cfg.mode = Mode::kGpu;
+  cfg.trace_path = ::testing::TempDir() + "/lddp_trace_gpu.json";
+  solve(p, cfg);
+  EXPECT_NE(slurp(cfg.trace_path).find("\"gpu.front\""), std::string::npos);
+  std::remove(cfg.trace_path.c_str());
+}
+
+// A kernel's name is its timeline label and nothing else: the same
+// launches, eager and fused, record the same ops — resources, durations,
+// deps — whatever the name.
+TEST(TraceExportTest, KernelNameChangesOnlyTheLabel) {
+  auto record = [](const char* name) {
+    sim::Timeline tl;
+    sim::Device dev(sim::GpuSpec::tesla_k20(), tl);
+    sim::KernelInfo info;
+    if (name != nullptr) info.name = name;
+    const auto s = dev.default_stream();
+    const auto a = dev.launch(s, info, 1000, [](std::size_t) {});
+    dev.launch(s, info, 50000, [](std::size_t) {}, a);
+    sim::LaunchGraph graph(dev, /*fused=*/true);
+    for (std::size_t n : {10, 2000, 300})
+      graph.launch(s, info, n, [](std::size_t) {});
+    graph.replay();
+    return tl;
+  };
+  const sim::Timeline plain = record(nullptr), named = record("unit.k");
+  ASSERT_EQ(plain.op_count(), named.op_count());
+  std::size_t kernels = 0;
+  for (sim::OpId op = 0; op < plain.op_count(); ++op) {
+    if (std::strcmp(plain.op_label(op), "kernel") == 0) {
+      ++kernels;
+      EXPECT_STREQ(named.op_label(op), "unit.k");
+    } else {
+      EXPECT_STREQ(named.op_label(op), plain.op_label(op));
+    }
+    EXPECT_EQ(plain.op_resource(op), named.op_resource(op));
+    EXPECT_EQ(plain.op_duration(op), named.op_duration(op));
+    EXPECT_EQ(plain.start_time(op), named.start_time(op));
+    const auto da = plain.op_deps(op), db = named.op_deps(op);
+    EXPECT_TRUE(std::equal(da.begin(), da.end(), db.begin(), db.end()));
+  }
+  EXPECT_EQ(kernels, 5u);
 }
 
 TEST(TraceExportTest, BadPathThrows) {
