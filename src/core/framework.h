@@ -104,10 +104,15 @@ constexpr bool store_on_device(Mode mode) {
            mode == Mode::kHeterogeneous);
 }
 
+/// Whether the tiled layer's row-major FullStore lives in simulated device
+/// memory under `mode`: only for the GPU. The CPU and the heterogeneous
+/// tile split fill the result grid in place.
+constexpr bool tiled_store_on_device(Mode mode) { return mode == Mode::kGpu; }
+
 /// The stats.peak_table_bytes that solve_canonical<kTier, kPattern>(p, cfg)
 /// reports, without running it: the store's static formula for the mode's
-/// store, the whole grid for the serial and tiled CPU scans, and grid plus
-/// device twin for the tiled device layer.
+/// store (the tiled layer's row-major one on a tiled request), and the
+/// whole grid for the serial scan.
 template <Storage kTier, Pattern kPattern, LddpProblem P>
 std::size_t canonical_peak_table_bytes(const P& p, const RunConfig& cfg) {
   using V = typename P::Value;
@@ -125,9 +130,10 @@ std::size_t canonical_peak_table_bytes(const P& p, const RunConfig& cfg) {
       return FullStore<V, RowMajorLayout>::peak_bytes(rows, false);
   }
   if constexpr (!kWindow) {
-    if (mode == Mode::kCpuTiled) return n * m * sizeof(V);
-    if (mode != Mode::kCpuParallel && resolve_tile(p, cfg) > 0)
-      return 2 * n * m * sizeof(V);
+    if (mode == Mode::kCpuTiled ||
+        (mode != Mode::kCpuParallel && resolve_tile(p, cfg) > 0))
+      return FullStore<V, RowMajorLayout>::peak_bytes(
+          RowMajorLayout(n, m), tiled_store_on_device(mode));
   }
   const auto layout = pattern_layout<kPattern>(n, m);
   using Layout = std::remove_cvref_t<decltype(layout)>;
@@ -147,8 +153,9 @@ std::size_t canonical_peak_table_bytes(const P& p, const RunConfig& cfg) {
 /// both tiers. What stays per tier:
 ///   * kCpuSerial runs solve_cpu_serial, or the row-streaming
 ///     solve_frontier_serial;
-///   * the tiled layer (kCpuTiled, RunConfig::tile) is full-tier only: the
-///     frontier tier runs kCpuTiled as kCpuParallel and ignores tile.
+///   * the tiled layer (kCpuTiled, RunConfig::tile) is full-tier only, over
+///     a row-major FullStore: the frontier tier runs kCpuTiled as
+///     kCpuParallel and ignores tile.
 /// A full-table grid on the frontier tier is wrapped in the FrontierTable
 /// facade. The frontier table has no remat callback or transform yet; the
 /// solve_frontier wrappers attach both. The pattern is a template
@@ -212,6 +219,15 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
     }
   };
 
+  // Runs a tiled `strategy(store)` over a full row-major store, held
+  // where tiled_store_on_device puts it.
+  auto run_tiled = [&](auto&& strategy) {
+    const RowMajorLayout rows(n, m);
+    FullStore<V, RowMajorLayout> store(
+        rows, tiled_store_on_device(mode) ? gpu : nullptr);
+    result.table = strategy(store);
+  };
+
   switch (mode) {
     case Mode::kCpuSerial:
       if constexpr (kWindow)
@@ -222,8 +238,10 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
 
     case Mode::kCpuTiled:
       if constexpr (!kWindow)
-        result.table =
-            solve_cpu_tiled(p, platform, cfg.cpu_tile, stats, batch);
+        run_tiled([&](auto& store) {
+          return solve_cpu_tiled(p, store, platform, cfg.cpu_tile, stats,
+                                 batch);
+        });
       break;
 
     case Mode::kCpuParallel:
@@ -235,7 +253,10 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
     case Mode::kGpu:
       if constexpr (!kWindow) {
         if (const std::size_t t = resolve_tile(p, cfg); t > 0) {
-          result.table = solve_gpu_tiled(p, platform, t, stats, fused, batch);
+          run_tiled([&](auto& store) {
+            return solve_gpu_tiled(p, store, platform, t, stats, fused,
+                                   batch);
+          });
           break;
         }
       }
@@ -247,8 +268,10 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
     case Mode::kHeterogeneous:
       if constexpr (!kWindow) {
         if (const std::size_t t = resolve_tile(p, cfg); t > 0) {
-          result.table = solve_hetero_tiled(p, platform, cfg.hetero, t, stats,
-                                            fused, batch);
+          run_tiled([&](auto& store) {
+            return solve_hetero_tiled(p, store, platform, cfg.hetero, t,
+                                      stats, fused, batch);
+          });
           break;
         }
       }

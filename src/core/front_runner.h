@@ -14,6 +14,7 @@
 
 #include "core/front_span.h"
 #include "core/strategies/common.h"
+#include "core/tile_scheduler.h"
 #include "tables/layout.h"
 #include "util/aligned.h"
 #include "util/check.h"
@@ -423,6 +424,25 @@ void run_row(const P& p, ContributingSet deps, typename P::Value bound,
     }
   }
   run_row_scalar(p, deps, bound, i, j0, j1, cols, prev_row, row);
+}
+
+/// Sweeps tile t of `sched` over a row-major store (a FullStore on
+/// RowMajorLayout): run_row over each row's valid span, in row order,
+/// reading the previous row at store.addr(i - 1, 0). The body of every
+/// tiled strategy, on either unit.
+template <LddpProblem P, typename Store>
+void run_tile(const P& p, const TileScheduler& sched,
+              TileScheduler::TileCoord t, Store& store, bool batch) {
+  using V = typename P::Value;
+  const ContributingSet deps = p.deps();
+  const V bound = p.boundary();
+  for (std::size_t i = sched.row_begin(t.tu); i < sched.row_end(t.tu); ++i) {
+    const TileScheduler::RowSpan sp = sched.row_span(t.tv, i);
+    if (sp.size() == 0) continue;
+    const V* prev = i > 0 ? store.addr(i - 1, 0) : nullptr;
+    run_row(p, deps, bound, i, sp.j_begin, sp.j_end, p.cols(), prev,
+            store.addr(i, 0), batch);
+  }
 }
 
 /// True when this problem/layout pair takes the batch path under the given

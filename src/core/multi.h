@@ -9,13 +9,18 @@
 // right-to-left. Device-to-device boundaries are staged through the host
 // (d2h on the producer, h2d on the consumer), as CUDA 5.0-era systems
 // without peer access would do.
+//
+// Every unit writes one host-visible row-major FullStore — the result
+// grid, filled in place (core/strategies/frontier_engine.h) — so the
+// boundary cells a unit reads from its neighbours' strips are already in
+// it: the boundary transfers are priced, never performed.
 #pragma once
 
-#include <memory>
 #include <numeric>
 #include <vector>
 
 #include "core/strategies/common.h"
+#include "core/strategies/frontier_engine.h"
 #include "core/strategies/heuristics.h"
 
 namespace lddp {
@@ -87,9 +92,10 @@ Grid<typename P::Value> solve_multi_horizontal(const P& p,
   const bool need_lr = deps.has_nw();  // crosses left -> right
   const bool need_rl = deps.has_ne();  // crosses right -> left
 
-  Grid<V> table(n, m);
-  detail::GridReader<V> hread{&table};
-  std::vector<sim::DeviceBuffer<V>> dtables;
+  FullStore<V, RowMajorLayout> store(layout);
+  auto read = [&store](std::size_t i, std::size_t j) {
+    return *store.addr(i, j);
+  };
   // One stream per boundary direction so per-row copies never queue behind
   // each other (a single copy stream would serialize the two directions
   // and put the accumulated lag on the critical path).
@@ -97,7 +103,6 @@ Grid<typename P::Value> solve_multi_horizontal(const P& p,
       out_left(num_dev), out_right(num_dev), result_stream(num_dev);
   const sim::KernelInfo info = detail::kernel_info_for(p, "multi.h");
   for (std::size_t k = 0; k < num_dev; ++k) {
-    dtables.push_back(platform.gpu(k).template alloc<V>(layout.size()));
     in_left[k] = platform.gpu(k).create_stream();
     in_right[k] = platform.gpu(k).create_stream();
     out_left[k] = platform.gpu(k).create_stream();
@@ -112,16 +117,9 @@ Grid<typename P::Value> solve_multi_horizontal(const P& p,
         sim::MemoryKind::kPageable);
   }
 
-  // Per-unit op of the previous row, and the boundary-transfer ops that
-  // unit u's next row must wait for.
-  std::vector<sim::OpId> unit_op(num_dev + 1, sim::kNoOp);
+  // The boundary-transfer ops that unit u's next row must wait for.
   std::vector<sim::OpId> left_ready(num_dev + 1, sim::kNoOp);
   std::vector<sim::OpId> right_ready(num_dev + 1, sim::kNoOp);
-
-  auto dev_read = [&](std::size_t k) {
-    return detail::DeviceReader<V, RowMajorLayout>{dtables[k].device_ptr(),
-                                                   &layout};
-  };
 
   sim::OpId last_cpu = sim::kNoOp;
   for (std::size_t i = 0; i < n; ++i) {
@@ -129,11 +127,6 @@ Grid<typename P::Value> solve_multi_horizontal(const P& p,
 
     // --- CPU strip -------------------------------------------------------
     if (split.widths[0] > 0) {
-      if (need_rl && i > 0 && num_dev > 0 && begin[1] < m) {
-        // NE read of the CPU's rightmost cell: device 0's column begin[1].
-        table.at(i - 1, begin[1]) =
-            dtables[0].device_ptr()[layout.flat(i - 1, begin[1])];
-      }
       sim::Platform::CpuFrontOpts opts;
       opts.streamed = true;
       opts.parallel = cpu::parallel_beats_serial(
@@ -142,8 +135,8 @@ Grid<typename P::Value> solve_multi_horizontal(const P& p,
       new_op[0] = platform.cpu_front(
           split.widths[0], work,
           [&, i](std::size_t j) {
-            table.at(i, j) =
-                detail::compute_cell(p, deps, bound, i, j, m, hread);
+            *store.addr(i, j) =
+                detail::compute_cell(p, deps, bound, i, j, m, read);
           },
           opts);
       last_cpu = new_op[0];
@@ -153,15 +146,13 @@ Grid<typename P::Value> solve_multi_horizontal(const P& p,
     for (std::size_t k = 0; k < num_dev; ++k) {
       const std::size_t lo = begin[k + 1], hi = begin[k + 2];
       if (lo >= hi) continue;
-      auto read = dev_read(k);
-      V* out = dtables[k].device_ptr();
       sim::Device& dev = platform.gpu(k);
       dev.stream_wait(dev.default_stream(), right_ready[k + 1]);
       new_op[k + 1] = dev.launch(
           dev.default_stream(), info, hi - lo,
-          [&, i, lo, out, read](std::size_t c) {
-            out[layout.flat(i, lo + c)] = detail::compute_cell(
-                p, deps, bound, i, lo + c, m, read);
+          [&, i, lo](std::size_t c) {
+            *store.addr(i, lo + c) =
+                detail::compute_cell(p, deps, bound, i, lo + c, m, read);
           },
           left_ready[k + 1]);
     }
@@ -176,11 +167,6 @@ Grid<typename P::Value> solve_multi_horizontal(const P& p,
       if (bcol == 0 || bcol >= m) continue;
       if (need_lr && new_op[u] != sim::kNoOp) {
         // Left unit's rightmost cell -> right unit (read as NW).
-        const V value = u == 0
-                            ? table.at(i, bcol - 1)
-                            : dtables[u - 1].device_ptr()[layout.flat(
-                                  i, bcol - 1)];
-        dtables[u].device_ptr()[layout.flat(i, bcol - 1)] = value;
         sim::OpId op = new_op[u];
         if (u > 0) {  // stage device -> host -> device
           op = platform.gpu(u - 1).record_d2h(out_right[u - 1], sizeof(V),
@@ -191,17 +177,12 @@ Grid<typename P::Value> solve_multi_horizontal(const P& p,
       }
       if (need_rl && new_op[u + 1] != sim::kNoOp) {
         // Right unit's leftmost cell -> left unit (read as NE).
-        const V value = dtables[u].device_ptr()[layout.flat(i, bcol)];
         sim::OpId op = platform.gpu(u).record_d2h(
             out_left[u], sizeof(V), sim::MemoryKind::kPinned,
             new_op[u + 1]);
-        if (u == 0) {
-          table.at(i, bcol) = value;  // host-visible for the CPU strip
-        } else {
-          dtables[u - 1].device_ptr()[layout.flat(i, bcol)] = value;
+        if (u > 0)
           op = platform.gpu(u - 1).record_h2d(in_right[u - 1], sizeof(V),
                                               sim::MemoryKind::kPinned, op);
-        }
         right_ready[u] = op;
       }
     }
@@ -212,7 +193,6 @@ Grid<typename P::Value> solve_multi_horizontal(const P& p,
   for (std::size_t k = 0; k < num_dev; ++k) {
     const std::size_t lo = begin[k + 1], hi = begin[k + 2];
     if (lo >= hi) continue;
-    detail::unpack_table(dtables[k].device_ptr(), layout, table, lo, hi);
     const std::size_t bytes =
         std::min(n * (hi - lo) * sizeof(V), result_bytes_of(p));
     fin = platform.cpu_sync(
@@ -222,6 +202,7 @@ Grid<typename P::Value> solve_multi_horizontal(const P& p,
                                        platform.gpu(k).default_stream())),
         fin);
   }
+  auto table = store.finish();
 
   if (stats) {
     stats->mode_used = Mode::kHeterogeneous;
@@ -230,6 +211,7 @@ Grid<typename P::Value> solve_multi_horizontal(const P& p,
     stats->fronts = n;
     stats->cells = n * m;
     stats->t_share = static_cast<long long>(split.widths[0]);
+    stats->peak_table_bytes = store.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
     stats->gpu_busy_seconds = 0;
     stats->copy_busy_seconds = 0;

@@ -22,9 +22,10 @@ namespace lddp {
 /// Which implementation runs the table fill.
 enum class Mode {
   kCpuSerial,      ///< single-threaded reference scan
-  kCpuParallel,    ///< multicore wavefronts (fork/join per front)
-  kCpuTiled,       ///< multicore tile wavefronts (block-per-thread; only
-                   ///< for NE-free contributing sets)
+  kCpuParallel,    ///< multicore wavefronts (each front's cells spread
+                   ///< over the work-stealing executor's workers)
+  kCpuTiled,       ///< multicore tile wavefronts (block-per-thread; skewed
+                   ///< tiles cover every contributing set)
   kGpu,            ///< pure simulated-GPU wavefronts (thread-per-cell)
   kHeterogeneous,  ///< the paper's CPU+GPU split
   kAuto,           ///< framework picks by problem size (Section VI findings)

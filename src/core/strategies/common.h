@@ -1,6 +1,5 @@
-// Shared machinery of all execution strategies: neighbour gathering on host
-// and device tables, walk pricing, kernel descriptions, and stats
-// assembly.
+// Shared machinery of all execution strategies: per-cell neighbour
+// gathering, walk pricing, kernel descriptions, and stats assembly.
 #pragma once
 
 #include <algorithm>
@@ -110,24 +109,6 @@ inline typename P::Value compute_cell(const P& p, ContributingSet deps,
   }
   return p.compute(i, j, nb);
 }
-
-/// Reader over the host row-major table.
-template <typename V>
-struct GridReader {
-  const Grid<V>* grid;
-  V operator()(std::size_t i, std::size_t j) const { return grid->at(i, j); }
-};
-
-/// Reader over a front-major table: `index` is a layout or a
-/// FrontMajorIndex — anything with flat(i, j).
-template <typename V, typename Index>
-struct DeviceReader {
-  const V* data;
-  const Index* index;
-  V operator()(std::size_t i, std::size_t j) const {
-    return data[index->flat(i, j)];
-  }
-};
 
 /// Assembles columns [j_begin, j_end) of the row-major result grid from
 /// storage in the layout's own dense flat() order (see

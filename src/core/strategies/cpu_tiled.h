@@ -23,40 +23,26 @@
 
 namespace lddp {
 
-/// True if the tiled CPU strategy supports this contributing set. Always
-/// true since the skewed-tile scheduler landed; kept for API compatibility.
-inline bool cpu_tiled_supports(ContributingSet) { return true; }
-
-template <LddpProblem P>
-Grid<typename P::Value> solve_cpu_tiled(const P& p, sim::Platform& platform,
-                                        std::size_t tile, SolveStats* stats,
-                                        bool batch = true) {
-  using V = typename P::Value;
+/// `store` (core/strategies/frontier_engine.h) is a FullStore over a
+/// RowMajorLayout: a tile row is a contiguous segment of one of its rows.
+template <LddpProblem P, typename Store>
+auto solve_cpu_tiled(const P& p, Store& store, sim::Platform& platform,
+                     std::size_t tile, SolveStats* stats, bool batch = true) {
   LDDP_CHECK_MSG(tile >= 1, "tile size must be positive");
   Stopwatch wall;
   const std::size_t n = p.rows(), m = p.cols();
   const ContributingSet deps = p.deps();
-  const V bound = p.boundary();
   const bool use_batch = detail::use_batch_rows(p, deps, batch);
   const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
   const TileScheduler sched(n, m, tile, deps);
 
-  Grid<V> table(n, m);
-  V* const data = table.data();
   for (std::size_t g = 0; g < sched.num_fronts(); ++g) {
     platform.cpu_tiled_front(
         sched.front_tiles(g), tile * tile, work, [&, g](std::size_t k) {
-          const TileScheduler::TileCoord t = sched.front_tile(g, k);
-          for (std::size_t i = sched.row_begin(t.tu); i < sched.row_end(t.tu);
-               ++i) {
-            const TileScheduler::RowSpan sp = sched.row_span(t.tv, i);
-            if (sp.size() == 0) continue;
-            const V* prev = i > 0 ? data + (i - 1) * m : nullptr;
-            detail::run_row(p, deps, bound, i, sp.j_begin, sp.j_end, m, prev,
-                            data + i * m, batch);
-          }
+          detail::run_tile(p, sched, sched.front_tile(g, k), store, batch);
         });
   }
+  auto table = store.finish();
 
   if (stats) {
     stats->mode_used = Mode::kCpuTiled;
@@ -64,7 +50,7 @@ Grid<typename P::Value> solve_cpu_tiled(const P& p, sim::Platform& platform,
     stats->transfer = TransferNeed::kNone;
     stats->fronts = sched.num_fronts();
     stats->cells = n * m;
-    stats->peak_table_bytes = n * m * sizeof(V);
+    stats->peak_table_bytes = store.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
   }
   return table;

@@ -15,7 +15,6 @@
 #include "core/strategies/common.h"
 #include "core/tile_scheduler.h"
 #include "sim/launch_graph.h"
-#include "sim/memory.h"
 #include "sim/tile_kernel.h"
 
 namespace lddp {
@@ -51,27 +50,21 @@ TileFrontWork tile_front_work(const TileScheduler& sched,
 
 }  // namespace detail
 
-template <LddpProblem P>
-Grid<typename P::Value> solve_gpu_tiled(const P& p, sim::Platform& platform,
-                                        std::size_t tile, SolveStats* stats,
-                                        bool fused = true, bool batch = true) {
+/// `store` (core/strategies/frontier_engine.h) is a FullStore over a
+/// RowMajorLayout in device memory: a tile row is a contiguous segment,
+/// so the staged tile loads and stores coalesce without a bespoke layout.
+template <LddpProblem P, typename Store>
+auto solve_gpu_tiled(const P& p, Store& store, sim::Platform& platform,
+                     std::size_t tile, SolveStats* stats, bool fused = true,
+                     bool batch = true) {
   using V = typename P::Value;
   Stopwatch wall;
   const std::size_t n = p.rows(), m = p.cols();
   const ContributingSet deps = p.deps();
-  const V bound = p.boundary();
   const TileScheduler sched(n, m, tile, deps);
   sim::Device& gpu = platform.gpu();
   const auto stream = gpu.default_stream();
   const sim::KernelInfo info = detail::kernel_info_for(p, "gpu.tile");
-
-  // The device table stays row-major: a tile row is a contiguous segment,
-  // so the staged tile loads/stores coalesce without a bespoke layout.
-  const RowMajorLayout layout(n, m);
-  // The tile fronts compute every cell before any neighbour read, so the
-  // device table can skip its zero-fill.
-  sim::DeviceBuffer<V> dtable =
-      gpu.template alloc<V>(layout.size(), /*zeroed=*/false);
 
   sim::LaunchGraph graph(gpu, fused);
   graph.record_h2d(stream, input_bytes_of(p), sim::MemoryKind::kPageable);
@@ -85,26 +78,16 @@ Grid<typename P::Value> solve_gpu_tiled(const P& p, sim::Platform& platform,
         gpu.spec(), info, fw.tiles, tile, tile, fw.cells, fw.staged_bytes);
     const double packed = sim::tiled_kernel_packed_exec_seconds(
         gpu.spec(), info, fw.tiles, tile, tile, fw.cells, fw.staged_bytes);
-    V* out = dtable.device_ptr();
     graph.launch_tiled(
-        stream, exec, nt,
-        [&, g, out](std::size_t k) {
-          const TileScheduler::TileCoord t = sched.front_tile(g, k);
-          for (std::size_t i = sched.row_begin(t.tu); i < sched.row_end(t.tu);
-               ++i) {
-            const TileScheduler::RowSpan sp = sched.row_span(t.tv, i);
-            if (sp.size() == 0) continue;
-            const V* prev = i > 0 ? out + (i - 1) * m : nullptr;
-            detail::run_row(p, deps, bound, i, sp.j_begin, sp.j_end, m, prev,
-                            out + i * m, batch);
-          }
+        stream, info, exec, nt,
+        [&, g](std::size_t k) {
+          detail::run_tile(p, sched, sched.front_tile(g, k), store, batch);
         },
         sim::kNoOp, packed);
   }
   graph.replay();
 
-  Grid<V> table = Grid<V>::uninitialized(n, m);  // unpack writes every cell
-  detail::unpack_table(dtable.device_ptr(), layout, table, 0, m);
+  auto table = store.finish();
   const sim::OpId done = gpu.record_d2h(stream, result_bytes_of(p),
                                         sim::MemoryKind::kPageable);
   platform.cpu_sync(done);
@@ -115,7 +98,7 @@ Grid<typename P::Value> solve_gpu_tiled(const P& p, sim::Platform& platform,
     stats->transfer = TransferNeed::kNone;
     stats->fronts = sched.num_fronts();
     stats->cells = n * m;
-    stats->peak_table_bytes = n * m * sizeof(V) * 2;  // device table + grid
+    stats->peak_table_bytes = store.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
   }
   return table;

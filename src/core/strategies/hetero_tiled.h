@@ -35,17 +35,20 @@
 
 namespace lddp {
 
-template <LddpProblem P>
-Grid<typename P::Value> solve_hetero_tiled(const P& p, sim::Platform& platform,
-                                           const HeteroParams& user,
-                                           std::size_t tile, SolveStats* stats,
-                                           bool fused = true,
-                                           bool batch = true) {
+/// `store` (core/strategies/frontier_engine.h) is a FullStore over a
+/// RowMajorLayout, host-visible to both units: the halo cells each unit
+/// reads from the other's tiles are already in it, so the transfers below
+/// are priced, never performed. Their byte counts come from the
+/// TileScheduler.
+template <LddpProblem P, typename Store>
+auto solve_hetero_tiled(const P& p, Store& store, sim::Platform& platform,
+                        const HeteroParams& user, std::size_t tile,
+                        SolveStats* stats, bool fused = true,
+                        bool batch = true) {
   using V = typename P::Value;
   Stopwatch wall;
   const std::size_t n = p.rows(), m = p.cols();
   const ContributingSet deps = p.deps();
-  const V bound = p.boundary();
   const bool use_batch = detail::use_batch_rows(p, deps, batch);
   const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
   const TileScheduler sched(n, m, tile, deps);
@@ -60,10 +63,6 @@ Grid<typename P::Value> solve_hetero_tiled(const P& p, sim::Platform& platform,
   const std::size_t s = split.t_share_tiles;
   const std::size_t phase2_begin = ts;
   const std::size_t phase2_end = num_fronts - ts;
-
-  Grid<V> table(n, m);
-  const RowMajorLayout layout(n, m);
-  sim::DeviceBuffer<V> dtable = gpu.template alloc<V>(layout.size());
 
   const auto compute_stream = gpu.default_stream();
   const auto h2d_stream = gpu.create_stream();
@@ -105,40 +104,21 @@ Grid<typename P::Value> solve_hetero_tiled(const P& p, sim::Platform& platform,
     return platform.cpu_tiled_front(
         count, cells / count, work,
         [&, g](std::size_t k) {
-          const TileScheduler::TileCoord t = sched.front_tile(g, k);
-          V* const data = table.data();
-          for (std::size_t i = sched.row_begin(t.tu); i < sched.row_end(t.tu);
-               ++i) {
-            const TileScheduler::RowSpan sp = sched.row_span(t.tv, i);
-            if (sp.size() == 0) continue;
-            const V* prev = i > 0 ? data + (i - 1) * m : nullptr;
-            detail::run_row(p, deps, bound, i, sp.j_begin, sp.j_end, m, prev,
-                            data + i * m, batch);
-          }
+          detail::run_tile(p, sched, sched.front_tile(g, k), store, batch);
         },
         dep);
   };
 
-  // Scatters one CPU tile's outgoing halo into the device table and
-  // returns the byte count (the real copy is done here; the caller records
-  // the priced transfer).
-  auto stage_tile_halo = [&](std::size_t tu, std::size_t tv, bool north,
-                             bool west) -> std::size_t {
-    std::size_t bytes = 0;
-    V* out = dtable.device_ptr();
-    if (north)
-      sched.for_each_bottom_row_cell(tu, tv, [&](std::size_t i,
-                                                 std::size_t j) {
-        out[layout.flat(i, j)] = table.at(i, j);
-        bytes += sizeof(V);
-      });
-    if (west)
-      sched.for_each_east_halo_cell(tu, tv, [&](std::size_t i,
-                                                std::size_t j) {
-        out[layout.flat(i, j)] = table.at(i, j);
-        bytes += sizeof(V);
-      });
-    return bytes;
+  // Bytes of one tile's outgoing halo: its bottom row (read by the tile
+  // below) when `north`, its east edge (read by the tile to the east) when
+  // `west`.
+  auto halo_bytes = [&](TileScheduler::TileCoord t, bool north,
+                        bool west) -> std::size_t {
+    std::size_t cells = 0;
+    auto count = [&cells](std::size_t, std::size_t) { ++cells; };
+    if (north) sched.for_each_bottom_row_cell(t.tu, t.tv, count);
+    if (west) sched.for_each_east_halo_cell(t.tu, t.tv, count);
+    return cells * sizeof(V);
   };
 
   sim::OpId last_cpu = sim::kNoOp;
@@ -163,9 +143,8 @@ Grid<typename P::Value> solve_hetero_tiled(const P& p, sim::Platform& platform,
         const TileScheduler::TileCoord t = sched.front_tile(g, k);
         // North halo feeds the tile below (a GPU tile when tu + 1 >= s);
         // the east halo feeds the tile to the east (GPU when tu >= s).
-        bytes += stage_tile_halo(t.tu, t.tv,
-                                 north_deps && t.tu + 1 >= s,
-                                 west_deps && t.tu >= s);
+        bytes += halo_bytes(t, north_deps && t.tu + 1 >= s,
+                            west_deps && t.tu >= s);
       }
     }
     h2d_m1 = h2d_m2 = graph.record_h2d(h2d_stream, bytes,
@@ -190,9 +169,8 @@ Grid<typename P::Value> solve_hetero_tiled(const P& p, sim::Platform& platform,
     sim::OpId h2d_op = sim::kNoOp;
     if (c > 0 && north_deps && s >= 1 && s < sched.tile_rows() &&
         sched.tu_min(g) + c == s) {
-      const std::size_t bytes = stage_tile_halo(s - 1, g - (s - 1),
-                                                /*north=*/true,
-                                                /*west=*/false);
+      const std::size_t bytes =
+          halo_bytes({s - 1, g - (s - 1)}, /*north=*/true, /*west=*/false);
       if (bytes > 0)
         h2d_op = graph.record_h2d(h2d_stream, bytes, sim::MemoryKind::kPinned,
                                   cpu_op);
@@ -211,19 +189,11 @@ Grid<typename P::Value> solve_hetero_tiled(const P& p, sim::Platform& platform,
         // The kernel additionally waits for the halos of the last two
         // fronts (the N/NW reads that cross the strip boundary).
         graph.stream_wait(compute_stream, h2d_m2);
-        V* out = dtable.device_ptr();
         last_gpu = graph.launch_tiled(
-            compute_stream, exec, nt - c,
-            [&, g, c, out](std::size_t k) {
-              const TileScheduler::TileCoord t = sched.front_tile(g, c + k);
-              for (std::size_t i = sched.row_begin(t.tu);
-                   i < sched.row_end(t.tu); ++i) {
-                const TileScheduler::RowSpan sp = sched.row_span(t.tv, i);
-                if (sp.size() == 0) continue;
-                const V* prev = i > 0 ? out + (i - 1) * m : nullptr;
-                detail::run_row(p, deps, bound, i, sp.j_begin, sp.j_end, m,
-                                prev, out + i * m, batch);
-              }
+            compute_stream, info, exec, nt - c,
+            [&, g, c](std::size_t k) {
+              detail::run_tile(p, sched, sched.front_tile(g, c + k), store,
+                               batch);
             },
             h2d_m1, packed);
       }
@@ -246,15 +216,8 @@ Grid<typename P::Value> solve_hetero_tiled(const P& p, sim::Platform& platform,
     for (std::size_t back = 1; back <= 2 && back <= phase2_end; ++back) {
       const std::size_t g = phase2_end - back;
       if (g < phase2_begin) break;  // phase-1 front: already on the host
-      for (std::size_t k = cpu_tiles(g); k < sched.front_tiles(g); ++k) {
-        const TileScheduler::TileCoord t = sched.front_tile(g, k);
-        auto fetch = [&](std::size_t i, std::size_t j) {
-          table.at(i, j) = dtable.device_ptr()[layout.flat(i, j)];
-          bytes += sizeof(V);
-        };
-        if (north_deps) sched.for_each_bottom_row_cell(t.tu, t.tv, fetch);
-        if (west_deps) sched.for_each_east_halo_cell(t.tu, t.tv, fetch);
-      }
+      for (std::size_t k = cpu_tiles(g); k < sched.front_tiles(g); ++k)
+        bytes += halo_bytes(sched.front_tile(g, k), north_deps, west_deps);
     }
     entry_d2h = gpu.record_d2h(d2h_stream, bytes, sim::MemoryKind::kPageable,
                                last_gpu);
@@ -271,21 +234,19 @@ Grid<typename P::Value> solve_hetero_tiled(const P& p, sim::Platform& platform,
 
   // Final download of the GPU-owned region (phase-2 tile rows tu >= s).
   {
-    std::size_t bytes = 0;
+    std::size_t cells = 0;
     for (std::size_t g = phase2_begin; g < phase2_end; ++g) {
       for (std::size_t k = cpu_tiles(g); k < sched.front_tiles(g); ++k) {
         const TileScheduler::TileCoord t = sched.front_tile(g, k);
-        sched.for_each_cell(t.tu, t.tv, [&](std::size_t i, std::size_t j) {
-          table.at(i, j) = dtable.device_ptr()[layout.flat(i, j)];
-          bytes += sizeof(V);
-        });
+        cells += sched.cell_count(t.tu, t.tv);
       }
     }
-    const sim::OpId fin =
-        gpu.record_d2h(d2h_stream, std::min(bytes, result_bytes_of(p)),
-                       sim::MemoryKind::kPageable, last_gpu);
+    const sim::OpId fin = gpu.record_d2h(
+        d2h_stream, std::min(cells * sizeof(V), result_bytes_of(p)),
+        sim::MemoryKind::kPageable, last_gpu);
     platform.cpu_sync(fin, last_cpu);
   }
+  auto table = store.finish();
 
   if (stats) {
     stats->mode_used = Mode::kHeterogeneous;
@@ -293,7 +254,7 @@ Grid<typename P::Value> solve_hetero_tiled(const P& p, sim::Platform& platform,
     stats->transfer = transfer_need(deps);
     stats->fronts = num_fronts;
     stats->cells = n * m;
-    stats->peak_table_bytes = n * m * sizeof(V) * 2;  // device twin + grid
+    stats->peak_table_bytes = store.peak_bytes();
     stats->t_switch = static_cast<long long>(ts * sched.tile());
     stats->t_share = static_cast<long long>(s * sched.tile());
     detail::finish_stats(*stats, platform, wall.seconds());

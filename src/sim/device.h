@@ -159,12 +159,12 @@ class Device {
   /// Launches `body(t)` for tile t in [0, num_tiles) — the block-per-tile
   /// mapping of the tiled execution layer. The caller prices the launch
   /// (tiled_kernel_exec_seconds); this records launch overhead + that
-  /// duration, mirroring launch(). `packed_exec_seconds`, when >= 0, is the
-  /// floor-free pricing (tiled_kernel_packed_exec_seconds) used to annotate
-  /// the amortizable share for the cross-solve packer.
+  /// duration under `info.name`, mirroring launch(). `packed_exec_seconds`,
+  /// when >= 0, is the floor-free pricing (tiled_kernel_packed_exec_seconds)
+  /// used to annotate the amortizable share for the cross-solve packer.
   template <typename Body>
-  OpId launch_tiled(StreamId stream, double exec_seconds,
-                    std::size_t num_tiles, Body&& body,
+  OpId launch_tiled(StreamId stream, const KernelInfo& info,
+                    double exec_seconds, std::size_t num_tiles, Body&& body,
                     OpId extra_dep = kNoOp,
                     double packed_exec_seconds = -1.0) {
     if (num_tiles == 0) return last_op(stream);
@@ -172,7 +172,7 @@ class Device {
     execute_tiles(num_tiles, std::forward<Body>(body));
     const double seconds = spec_.launch_overhead_us * 1e-6 + exec_seconds;
     const OpId op =
-        enqueue(stream, compute_res_, seconds, extra_dep, "kernel");
+        enqueue(stream, compute_res_, seconds, extra_dep, info.name);
     const double packed =
         packed_exec_seconds >= 0.0 ? packed_exec_seconds : exec_seconds;
     tl_->annotate_pack(op, seconds - std::min(packed, seconds));

@@ -94,12 +94,12 @@ class LaunchGraph {
   /// `packed_exec_seconds` is the floor-free pricing from
   /// tiled_kernel_packed_exec_seconds, or -1 for "same as exec").
   template <typename Body>
-  OpId launch_tiled(Device::StreamId stream, double exec_seconds,
-                    std::size_t num_tiles, Body&& body,
+  OpId launch_tiled(Device::StreamId stream, const KernelInfo& info,
+                    double exec_seconds, std::size_t num_tiles, Body&& body,
                     OpId extra_dep = kNoOp,
                     double packed_exec_seconds = -1.0) {
     if (!fused_)
-      return dev_->launch_tiled(stream, exec_seconds, num_tiles,
+      return dev_->launch_tiled(stream, info, exec_seconds, num_tiles,
                                 std::forward<Body>(body), extra_dep,
                                 packed_exec_seconds);
     if (num_tiles == 0) return last_op(stream);
@@ -108,7 +108,7 @@ class LaunchGraph {
     const double packed =
         packed_exec_seconds >= 0.0 ? packed_exec_seconds : exec_seconds;
     return add_node(stream, dev_->compute_res_, exec_seconds, packed,
-                    extra_dep, "kernel");
+                    extra_dep, info.name);
   }
 
   /// Device::record_h2d, graph-aware.

@@ -1,5 +1,5 @@
 // Tiled CPU execution: correctness across tile sizes, shapes and patterns,
-// support predicate, and the modeled benefit over the per-cell baseline.
+// and the modeled benefit over the per-cell baseline.
 #include <gtest/gtest.h>
 
 #include "core/framework.h"
@@ -11,17 +11,6 @@
 
 namespace lddp {
 namespace {
-
-TEST(CpuTiledTest, SupportPredicate) {
-  // The skewed-tile scheduler removed the NE restriction: every
-  // contributing set is supported.
-  EXPECT_TRUE(cpu_tiled_supports(ContributingSet{Dep::kW, Dep::kNW, Dep::kN}));
-  EXPECT_TRUE(cpu_tiled_supports(ContributingSet{Dep::kNW}));
-  EXPECT_TRUE(cpu_tiled_supports(ContributingSet{Dep::kN}));
-  EXPECT_TRUE(cpu_tiled_supports(ContributingSet{Dep::kNE}));
-  EXPECT_TRUE(
-      cpu_tiled_supports(ContributingSet{Dep::kW, Dep::kN, Dep::kNE}));
-}
 
 TEST(CpuTiledTest, MatchesSerialAcrossTileSizes) {
   problems::LevenshteinProblem p(problems::random_sequence(150, 1),

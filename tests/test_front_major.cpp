@@ -8,6 +8,7 @@
 // same as before the tables were shared.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -212,11 +213,13 @@ TEST(FrontMajorSolveTest, DiagonalCpuWavefrontsReportTheStagingTable) {
   EXPECT_EQ(r.stats.peak_table_bytes, 2 * 100 * 150 * sizeof(int));
 }
 
-// Full-tier table high-water per mode x pattern, as reported by the store
-// or the full-table strategy: the result grid (1x), plus the front-major
-// table it is unpacked from (2x). Row fronts on the host — CPU wavefronts
-// and the heterogeneous row split — fill the grid in place; Inverted-L
-// shells, like every other non-row front, stage front-major.
+// Full-tier table high-water per mode x pattern, as reported by the store:
+// the result grid (1x), plus the front-major table it is unpacked from
+// (2x). Row fronts on the host — CPU wavefronts, the heterogeneous row
+// split and the host tiled layer — fill the grid in place; Inverted-L
+// shells, like every other non-row front, stage front-major. The tiled
+// layer runs over row-major storage whatever the pattern: the GPU's is a
+// device table (2x), the heterogeneous tile split's the grid itself (1x).
 TEST(FrontMajorSolveTest, PeakTableBytesPerModeAndPattern) {
   constexpr std::size_t n = 40, m = 70;
   struct Row {
@@ -248,6 +251,16 @@ TEST(FrontMajorSolveTest, PeakTableBytesPerModeAndPattern) {
       EXPECT_EQ(solve(p, cfg).stats.peak_table_bytes,
                 static_cast<std::size_t>(times) * n * m * sizeof(int))
           << to_string(row.pattern) << " " << to_string(mode);
+    }
+    const std::pair<Mode, int> tiled[] = {{Mode::kGpu, 2},
+                                          {Mode::kHeterogeneous, 1}};
+    for (const auto& [mode, times] : tiled) {
+      RunConfig cfg;
+      cfg.mode = mode;
+      cfg.tile = 8;
+      EXPECT_EQ(solve(p, cfg).stats.peak_table_bytes,
+                static_cast<std::size_t>(times) * n * m * sizeof(int))
+          << to_string(row.pattern) << " " << to_string(mode) << " tile 8";
     }
   }
 }
@@ -284,6 +297,33 @@ TEST(FrontMajorSolveTest, HeteroTransferAccountingIsUnchanged) {
     EXPECT_EQ(r.stats.h2d_copies, kDitherH2dCopies);
     EXPECT_EQ(r.stats.d2h_copies, kDitherD2hCopies);
   }
+}
+
+// Transfer accounting of the heterogeneous tile split at tile 16: the
+// {h2d bytes, d2h bytes, h2d copies, d2h copies} recorded when the
+// strategy kept a device twin of the table and copied every halo cell into
+// and out of it. They depend only on the shape, the tile and the split.
+TEST(FrontMajorSolveTest, HeteroTiledTransferAccountingIsUnchanged) {
+  using Counts = std::array<std::size_t, 4>;
+  auto counts = [](const auto& p, HeteroParams split) {
+    RunConfig cfg;
+    cfg.mode = Mode::kHeterogeneous;
+    cfg.tile = 16;
+    cfg.hetero = split;
+    const SolveStats s = solve(p, cfg).stats;
+    return Counts{s.h2d_bytes, s.d2h_bytes, s.h2d_copies, s.d2h_copies};
+  };
+  // NE-free: rectangular tiles.
+  EXPECT_EQ(counts(problems::LevenshteinProblem(
+                       problems::random_sequence(300, 1),
+                       problems::random_sequence(300, 2)),
+                   {40, 50}),
+            (Counts{1708, 2052, 20, 2}));
+  // NE present: skewed tiles.
+  EXPECT_EQ(counts(problems::FloydSteinbergProblem(
+                       problems::plasma_image(200, 200, 5)),
+                   {30, 70}),
+            (Counts{30400, 42112, 15, 2}));
 }
 
 }  // namespace

@@ -572,27 +572,32 @@ TEST(FrontierBatch, LaneJobsReportSoloSerialStats) {
 
 // The admission estimate is the peak_table_bytes the solve reports, for
 // every contributing set (so every pattern and both symmetric
-// reductions), on both tiers, in every mode — including the staged
-// full tier (grid + front-major table) and frontier windows of several
-// fronts, which a rows-of-cols estimate under-counts.
+// reductions), on both tiers, in every mode, untiled and tiled —
+// including the staged full tier (grid + front-major table), the tiled
+// layer's row-major stores and frontier windows of several fronts, which
+// a rows-of-cols estimate under-counts.
 TEST(FrontierBatch, TableEstimateIsReportedPeak) {
   for (int mask = 1; mask <= 15; ++mask) {
     const auto p = make_probe({mask, 57, 41});
     for (Mode mode : {Mode::kCpuSerial, Mode::kCpuParallel, Mode::kGpu,
                       Mode::kHeterogeneous}) {
-      RunConfig rc;
-      rc.mode = mode;
-      const std::string what =
-          "mask " + std::to_string(mask) + " " + to_string(mode);
-      EXPECT_EQ(detail::estimate_table_bytes<Storage::kFull>(p, rc, false),
-                solve(p, rc).stats.peak_table_bytes)
-          << what << " full";
-      rc.storage = Storage::kFrontier;
-      rc.checkpoint_interval = 5;
-      EXPECT_EQ(
-          detail::estimate_table_bytes<Storage::kFrontier>(p, rc, false),
-          solve_frontier(p, rc).stats.peak_table_bytes)
-          << what << " frontier";
+      for (int tile : {0, 8}) {
+        RunConfig rc;
+        rc.mode = mode;
+        rc.tile = tile;
+        const std::string what = "mask " + std::to_string(mask) + " " +
+                                 to_string(mode) + " tile " +
+                                 std::to_string(tile);
+        EXPECT_EQ(detail::estimate_table_bytes<Storage::kFull>(p, rc, false),
+                  solve(p, rc).stats.peak_table_bytes)
+            << what << " full";
+        rc.storage = Storage::kFrontier;
+        rc.checkpoint_interval = 5;
+        EXPECT_EQ(
+            detail::estimate_table_bytes<Storage::kFrontier>(p, rc, false),
+            solve_frontier(p, rc).stats.peak_table_bytes)
+            << what << " frontier";
+      }
     }
   }
 }

@@ -49,6 +49,9 @@ TEST(MultiAcceleratorTest, Case1MatchesReference) {
   const auto table = solve_multi_horizontal(p, platform, MultiSplit{}, &stats);
   EXPECT_EQ(table, ref.table);
   EXPECT_GT(stats.gpu_busy_seconds, 0.0);
+  // Every unit writes one host-visible table, the result grid itself.
+  EXPECT_EQ(stats.peak_table_bytes,
+            130 * 170 * sizeof(problems::MinNwNProblem::Value));
 }
 
 TEST(MultiAcceleratorTest, Case2MatchesReference) {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "core/framework.h"
 #include "problems/alignment.h"
@@ -73,6 +74,33 @@ TEST(TraceExportTest, SolveHonoursTracePath) {
   solve(p, cfg);
   EXPECT_NE(slurp(cfg.trace_path).find("\"gpu.front\""), std::string::npos);
   std::remove(cfg.trace_path.c_str());
+}
+
+// Tiled kernels are labelled by their strategy's KernelInfo name too,
+// eager and fused: no op keeps the placeholder "kernel".
+TEST(TraceExportTest, TiledKernelsCarryTheirName) {
+  problems::LevenshteinProblem p(problems::random_sequence(128, 1),
+                                 problems::random_sequence(128, 2));
+  const std::pair<Mode, const char*> cases[] = {
+      {Mode::kGpu, "gpu.tile"}, {Mode::kHeterogeneous, "hetero.tile"}};
+  for (const auto& [mode, name] : cases) {
+    for (bool fused : {false, true}) {
+      RunConfig cfg;
+      cfg.mode = mode;
+      cfg.tile = 16;
+      cfg.hetero = {32, 32};
+      cfg.fused_launches = fused;
+      sim::Timeline tl;
+      cfg.record_timeline = &tl;
+      solve(p, cfg);
+      std::size_t kernels = 0;
+      for (sim::OpId op = 0; op < tl.op_count(); ++op) {
+        EXPECT_STRNE(tl.op_label(op), "kernel") << name << " fused " << fused;
+        if (std::strcmp(tl.op_label(op), name) == 0) ++kernels;
+      }
+      EXPECT_GT(kernels, 0u) << name << " fused " << fused;
+    }
+  }
 }
 
 // A kernel's name is its timeline label and nothing else: the same
