@@ -52,10 +52,9 @@ void BM_InvertedL_ShellMajorStorage(benchmark::State& state) {
   for (auto _ : state) {
     sim::Platform platform(sim::PlatformSpec::hetero_high());
     const ShellLayout shells(p.rows(), p.cols());
-    FullStore<problems::MaxNwProblem::Value, ShellLayout> store(
-        shells, &platform.gpu());
+    FullStore<problems::MaxNwProblem::Value, ShellLayout> store(shells);
     auto table = solve_gpu(p, store, platform, &stats);
-    benchmark::DoNotOptimize(table.data());
+    benchmark::DoNotOptimize(table);
     state.SetIterationTime(stats.sim_seconds);
   }
   state.counters["sim_ms"] = stats.sim_seconds * 1e3;
@@ -86,8 +85,7 @@ bool print_series() {
     {
       sim::Platform platform(sim::PlatformSpec::hetero_high());
       const ShellLayout shells(p.rows(), p.cols());
-      FullStore<problems::MaxNwProblem::Value, ShellLayout> store(
-          shells, &platform.gpu());
+      FullStore<problems::MaxNwProblem::Value, ShellLayout> store(shells);
       solve_gpu(p, store, platform, &s2);
     }
     std::printf("%8zu %18.3f %18.3f %9.2fx\n", n, s1.sim_seconds * 1e3,

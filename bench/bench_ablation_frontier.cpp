@@ -3,7 +3,7 @@
 // storage tier changes how the host fills and reads tables, not the
 // simulated platform schedule.
 //
-// Two measurements, both gated (the process exits non-zero on failure so
+// Three measurements, all gated (the process exits non-zero on failure so
 // CI catches regressions):
 //
 //  1. Value-only throughput: 4k x 4k Levenshtein and LCS, serial host
@@ -16,6 +16,12 @@
 //     rematerialized at most once). At the default K ~ sqrt(rows) the
 //     walk recomputes about half the table into L2-resident band
 //     scratch. Gate: frontier no slower than 1.15x full end-to-end.
+//  3. Value-only throughput on the parallel CPU path (Mode::kCpuParallel):
+//     4k x 4k Levenshtein and 2k x 2k Floyd-Steinberg dithering, best of
+//     5, both tiers in the same run. The full tier fills a front-major
+//     table that the result keeps as it is (nothing is unpacked into a
+//     row-major grid), so its wall-clock should stay near the frontier
+//     tier's. Gate: full no slower than 1.5x frontier.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -23,7 +29,9 @@
 #include "bench_common.h"
 #include "core/framework.h"
 #include "problems/alignment.h"
+#include "problems/floyd_steinberg.h"
 #include "problems/gotoh.h"
+#include "problems/image.h"
 #include "problems/lcs.h"
 #include "problems/levenshtein.h"
 
@@ -33,13 +41,20 @@ using namespace lddp;
 
 int failures = 0;
 
-/// Best-of-5 wall-clock for one storage tier; returns seconds. `reader`
-/// consumes the result each rep (the traceback, or a corner probe for
-/// value-only runs) so the work cannot be optimized away.
+/// What a pair's gate requires of the two tiers' wall-clock.
+enum class Gate {
+  kFrontierFaster,    ///< full / frontier >= limit
+  kFrontierNotSlower, ///< frontier <= limit x full
+  kFullNotSlower,     ///< full <= limit x frontier
+};
+
+/// Best-of-5 wall-clock for one storage tier in `mode`; returns seconds.
+/// `reader` consumes the result each rep (the traceback, or a corner probe
+/// for value-only runs) so the work cannot be optimized away.
 template <typename P, typename Reader>
-double best_wall(const P& p, Storage storage, Reader&& reader) {
+double best_wall(const P& p, Mode mode, Storage storage, Reader&& reader) {
   RunConfig cfg;
-  cfg.mode = Mode::kCpuSerial;
+  cfg.mode = mode;
   cfg.storage = storage;
   return lddp::bench::min_wall_seconds(
       [&] {
@@ -50,13 +65,12 @@ double best_wall(const P& p, Storage storage, Reader&& reader) {
 }
 
 template <typename P, typename Reader>
-void gated_pair(const char* name, const P& p, double limit_ratio,
-                bool frontier_faster, lddp::bench::JsonWriter& json,
+void gated_pair(const char* name, std::size_t n, const P& p, Mode mode,
+                double limit_ratio, Gate gate, lddp::bench::JsonWriter& json,
                 Reader&& reader) {
-  const std::size_t n = p.rows() - 1;
   const double cells = static_cast<double>(p.rows()) * p.cols();
-  const double full_s = best_wall(p, Storage::kFull, reader);
-  const double fr_s = best_wall(p, Storage::kFrontier, reader);
+  const double full_s = best_wall(p, mode, Storage::kFull, reader);
+  const double fr_s = best_wall(p, mode, Storage::kFrontier, reader);
   const double speedup = full_s / fr_s;
   std::printf("%-16s %6zu | full %8.1f ms | frontier %8.1f ms | %.2fx\n",
               name, n, full_s * 1e3, fr_s * 1e3, speedup);
@@ -64,17 +78,24 @@ void gated_pair(const char* name, const P& p, double limit_ratio,
                    cells / full_s);
   json.record_wall(std::string(name) + "/frontier", n, fr_s * 1e3,
                    cells / fr_s);
-  if (frontier_faster && speedup < limit_ratio) {
+  if (gate == Gate::kFrontierFaster && speedup < limit_ratio) {
     std::fprintf(stderr,
                  "GATE FAIL: %s frontier speedup %.2fx < %.2fx\n", name,
                  speedup, limit_ratio);
     ++failures;
   }
-  if (!frontier_faster && fr_s > full_s * limit_ratio) {
+  if (gate == Gate::kFrontierNotSlower && fr_s > full_s * limit_ratio) {
     std::fprintf(stderr,
                  "GATE FAIL: %s frontier %.2fx slower than full "
                  "(limit %.2fx)\n",
                  name, fr_s / full_s, limit_ratio);
+    ++failures;
+  }
+  if (gate == Gate::kFullNotSlower && full_s > fr_s * limit_ratio) {
+    std::fprintf(stderr,
+                 "GATE FAIL: %s full %.2fx slower than frontier "
+                 "(limit %.2fx)\n",
+                 name, full_s / fr_s, limit_ratio);
     ++failures;
   }
 }
@@ -91,14 +112,15 @@ int main() {
   {
     problems::LevenshteinProblem p(problems::random_sequence(kN, 1),
                                    problems::random_sequence(kN, 2));
-    gated_pair("levenshtein", p, 1.3, /*frontier_faster=*/true, json,
+    gated_pair("levenshtein", kN, p, Mode::kCpuSerial, 1.3,
+               Gate::kFrontierFaster, json,
                [&](const auto& t) { return t.at(kN, kN); });
   }
   {
     problems::LcsProblem p(problems::random_sequence(kN, 3),
                            problems::random_sequence(kN, 4));
-    gated_pair("lcs", p, 1.3, /*frontier_faster=*/true, json,
-               [&](const auto& t) { return t.at(kN, kN); });
+    gated_pair("lcs", kN, p, Mode::kCpuSerial, 1.3, Gate::kFrontierFaster,
+               json, [&](const auto& t) { return t.at(kN, kN); });
   }
 
   std::printf("\n=== Solve + traceback end-to-end: full vs frontier at "
@@ -106,7 +128,8 @@ int main() {
   {
     problems::NeedlemanWunschProblem p(problems::random_sequence(kN, 5),
                                        problems::random_sequence(kN, 6));
-    gated_pair("nw_traceback", p, 1.15, /*frontier_faster=*/false, json,
+    gated_pair("nw_traceback", kN, p, Mode::kCpuSerial, 1.15,
+               Gate::kFrontierNotSlower, json,
                [&](const auto& t) {
                  return problems::nw_traceback(p, t).score;
                });
@@ -114,9 +137,29 @@ int main() {
   {
     problems::GotohProblem p(problems::random_sequence(kN, 7),
                              problems::random_sequence(kN, 8));
-    gated_pair("gotoh_traceback", p, 1.15, /*frontier_faster=*/false, json,
+    gated_pair("gotoh_traceback", kN, p, Mode::kCpuSerial, 1.15,
+               Gate::kFrontierNotSlower, json,
                [&](const auto& t) {
                  return problems::gotoh_traceback(p, t).score;
+               });
+  }
+
+  std::printf("\n=== Value-only parallel CPU fill: full vs frontier "
+              "storage (best of 5; gate: full <= 1.5x frontier) ===\n");
+  {
+    problems::LevenshteinProblem p(problems::random_sequence(kN, 1),
+                                   problems::random_sequence(kN, 2));
+    gated_pair("levenshtein_cpu", kN, p, Mode::kCpuParallel, 1.5,
+               Gate::kFullNotSlower, json,
+               [&](const auto& t) { return t.at(kN, kN); });
+  }
+  {
+    constexpr std::size_t kDither = 2048;
+    problems::FloydSteinbergProblem p(
+        problems::plasma_image(kDither, kDither, 1));
+    gated_pair("dither_cpu", kDither, p, Mode::kCpuParallel, 1.5,
+               Gate::kFullNotSlower, json, [&](const auto& t) {
+                 return t.at(kDither - 1, kDither - 1).out;
                });
   }
 

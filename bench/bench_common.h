@@ -188,7 +188,7 @@ SolveStats run_once(benchmark::State& state, const P& problem,
   SolveStats stats;
   for (auto _ : state) {
     auto result = solve(problem, cfg);
-    benchmark::DoNotOptimize(result.table.data());
+    benchmark::DoNotOptimize(result.table);
     stats = result.stats;
     state.SetIterationTime(stats.sim_seconds);
   }

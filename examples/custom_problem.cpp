@@ -84,7 +84,7 @@ int main() {
     const auto r = solve(problem, alt);
     std::printf("%-22s: %.3f ms simulated (tables match: %s)\n",
                 to_string(mode).c_str(), r.stats.sim_seconds * 1e3,
-                r.table == hetero.table ? "yes" : "NO");
+                r.table.to_grid() == hetero.table.to_grid() ? "yes" : "NO");
   }
   return 0;
 }

@@ -89,23 +89,4 @@ class MirroredProblem {
   const P* inner_;
 };
 
-/// Undoes a transpose adapter on the result table.
-template <typename V>
-Grid<V> transpose_grid(const Grid<V>& g) {
-  Grid<V> out(g.cols(), g.rows());
-  for (std::size_t i = 0; i < g.rows(); ++i)
-    for (std::size_t j = 0; j < g.cols(); ++j) out.at(j, i) = g.at(i, j);
-  return out;
-}
-
-/// Undoes a mirror adapter on the result table.
-template <typename V>
-Grid<V> mirror_grid(const Grid<V>& g) {
-  Grid<V> out(g.rows(), g.cols());
-  for (std::size_t i = 0; i < g.rows(); ++i)
-    for (std::size_t j = 0; j < g.cols(); ++j)
-      out.at(i, g.cols() - 1 - j) = g.at(i, j);
-  return out;
-}
-
 }  // namespace lddp

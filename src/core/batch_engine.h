@@ -302,7 +302,7 @@ template <Storage kTier, LddpProblem P>
 struct LanePayload {
   std::shared_ptr<const P> problem;
   RunConfig rc;
-  std::shared_ptr<std::promise<TierResult<kTier, P>>> promise;
+  std::shared_ptr<std::promise<SolveResult<P>>> promise;
   sim::PlatformSpec platform;
 };
 
@@ -323,7 +323,7 @@ std::size_t estimate_table_bytes(const P& p, const RunConfig& rc,
         rows, p.deps(),
         resolve_checkpoint_interval(rc.checkpoint_interval, p.rows()));
   else
-    store = FullStore<V, RowMajorLayout>::peak_bytes(rows, false);
+    store = FullStore<V, RowMajorLayout>::peak_bytes(rows);
   return store + 2 * p.cols() * sizeof(V);
 }
 
@@ -365,9 +365,9 @@ class BatchEngine {
     return submit_on<Storage::kFull>(std::move(problem), std::move(rc), opts);
   }
 
-  /// Frontier-storage admission: like submit(), but the future resolves
-  /// to a FrontierSolveResult — checkpoint rows + last row + the remat
-  /// callback instead of the full grid — and the admission memory budget
+  /// Frontier-storage admission: like submit(), but the future's table is
+  /// a frontier table — checkpoint rows + last row + the remat callback
+  /// instead of the whole table — and the admission memory budget
   /// meters the frontier tier's resident bytes, so far more solves of a
   /// given size fit in flight. Lane-eligible requests have NO cell cap on
   /// this path: kLaneMaxCells exists to bound interleaved full tables,
@@ -375,7 +375,7 @@ class BatchEngine {
   /// ownership of the problem with the returned table (its remat callback
   /// reads the problem on every interior access).
   template <LddpProblem P>
-  std::optional<std::future<FrontierSolveResult<P>>> submit_frontier(
+  std::optional<std::future<SolveResult<P>>> submit_frontier(
       P problem, RunConfig rc = {}, const chaos::RequestOptions& opts = {}) {
     return submit_on<Storage::kFrontier>(std::move(problem), std::move(rc),
                                          opts);
@@ -512,9 +512,9 @@ class BatchEngine {
   /// Admission on storage tier kTier, behind submit() (kFull) and
   /// submit_frontier() (kFrontier).
   template <Storage kTier, LddpProblem P>
-  std::optional<std::future<detail::TierResult<kTier, P>>> submit_on(
+  std::optional<std::future<SolveResult<P>>> submit_on(
       P problem, RunConfig rc, const chaos::RequestOptions& opts) {
-    using Result = detail::TierResult<kTier, P>;
+    using Result = SolveResult<P>;
     constexpr bool kFrontier = kTier == Storage::kFrontier;
     LDDP_CHECK_MSG(opts.weight > 0.0, "batch weight must be positive");
     auto promise = std::make_shared<std::promise<Result>>();
@@ -628,7 +628,7 @@ class BatchEngine {
     }
     Stopwatch wall;
     detail::LaneExecStats lst;
-    std::vector<detail::LaneTable<kTier, V>> tables;
+    std::vector<FrontierTable<V>> tables;
     bool cohort_ok = true;
     // Lifecycle hook for the lockstep sweep: the cohort head's fault plan
     // draws kLaneKernel decisions per row, and every lane's cancellation
@@ -666,7 +666,7 @@ class BatchEngine {
         // The solo fallback runs poll-free and outside any fault scope —
         // it is the cohort's guaranteed reference rung.
         detail::LaneExecStats solo;
-        detail::LaneTable<kTier, V> table =
+        FrontierTable<V> table =
             cohort_ok ? std::move(tables[k])
                       : std::move(detail::run_lane_cohort<kTier>(
                             std::vector<const P*>{&p},
@@ -709,7 +709,7 @@ class BatchEngine {
           j.outcome = lddp::chaos::RequestOutcome::kOk;
         }
         pls[k]->promise->set_value(
-            detail::TierResult<kTier, P>{std::move(table), stats});
+            SolveResult<P>{std::move(table), stats});
       } catch (const fault::CancelledError&) {
         j.outcome = lddp::chaos::RequestOutcome::kCancelled;
         j.failed = true;

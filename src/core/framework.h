@@ -5,7 +5,10 @@
 // classifies the contributing set into a pattern (Table I), reduces
 // Vertical / mirrored-Inverted-L to their canonical siblings by symmetry,
 // picks the wavefront-contiguous layout and the execution strategy for the
-// requested mode, and returns the filled table plus timing statistics.
+// requested mode, and returns the filled table plus timing statistics. The
+// table is read where the sweep wrote it — a front-major table stays
+// front-major, a transposed or mirrored one is a view — and to_grid()
+// copies it into a dense row-major Grid for callers that need one.
 //
 //   LevenshteinProblem p(a, b);
 //   auto [table, stats] = lddp::solve(p);   // heterogeneous by default
@@ -32,19 +35,13 @@
 
 namespace lddp {
 
-/// The filled DP table (row-major) and the run's measurements.
+/// The filled DP table and the run's measurements, on either storage
+/// tier: the whole table on the full tier (row-major or front-major, as
+/// the sweep filled it), checkpoint rows plus on-demand rematerialization
+/// on the frontier tier. Cell reads go through table.at(i, j) (by value)
+/// in user orientation either way.
 template <LddpProblem P>
 struct SolveResult {
-  Grid<typename P::Value> table;
-  SolveStats stats;
-};
-
-/// Result of solve_frontier: the table is a FrontierTable — checkpoint
-/// rows plus on-demand rematerialization on the frontier tier, a plain
-/// grid facade on the full tier. Cell reads go through table.at(i, j)
-/// (by value) in user orientation either way.
-template <LddpProblem P>
-struct FrontierSolveResult {
   FrontierTable<typename P::Value> table;
   SolveStats stats;
 };
@@ -74,11 +71,6 @@ std::size_t resolve_tile(const P& p, const RunConfig& cfg) {
                       cfg.fused_launches);
 }
 
-/// Result of a canonical solve on storage tier kTier.
-template <Storage kTier, LddpProblem P>
-using TierResult = std::conditional_t<kTier == Storage::kFull, SolveResult<P>,
-                                      FrontierSolveResult<P>>;
-
 /// Wavefront layout of a canonical pattern.
 template <Pattern kPattern>
 auto pattern_layout(std::size_t n, std::size_t m) {
@@ -92,56 +84,21 @@ auto pattern_layout(std::size_t n, std::size_t m) {
     return ShellLayout(n, m);
 }
 
-/// Whether a parallel strategy's store of pattern kPattern on tier kTier
-/// lives in simulated device memory under `mode` (a resolved parallel
-/// mode). The CPU keeps it on the host, and so does the heterogeneous
-/// Horizontal strategy on the full tier: both strips of a row land in one
-/// host-visible table, the result grid itself, with no device twin.
-template <Storage kTier, Pattern kPattern>
-constexpr bool store_on_device(Mode mode) {
-  if (mode == Mode::kCpuParallel) return false;
-  return !(kTier == Storage::kFull && kPattern == Pattern::kHorizontal &&
-           mode == Mode::kHeterogeneous);
-}
-
-/// Whether the tiled layer's row-major FullStore lives in simulated device
-/// memory under `mode`: only for the GPU. The CPU and the heterogeneous
-/// tile split fill the result grid in place.
-constexpr bool tiled_store_on_device(Mode mode) { return mode == Mode::kGpu; }
-
-/// The stats.peak_table_bytes that solve_canonical<kTier, kPattern>(p, cfg)
-/// reports, without running it: the store's static formula for the mode's
-/// store (the tiled layer's row-major one on a tiled request), and the
-/// whole grid for the serial scan.
-template <Storage kTier, Pattern kPattern, LddpProblem P>
-std::size_t canonical_peak_table_bytes(const P& p, const RunConfig& cfg) {
+/// The stats.peak_table_bytes of a frontier-tier solve_canonical<
+/// kPattern>(p, cfg), without running it: the window store's static
+/// formula over the layout the mode sweeps (rows for the serial scan).
+template <Pattern kPattern, LddpProblem P>
+std::size_t frontier_peak_table_bytes(const P& p, const RunConfig& cfg) {
   using V = typename P::Value;
-  constexpr bool kWindow = kTier == Storage::kFrontier;
   const std::size_t n = p.rows(), m = p.cols();
-  Mode mode = resolve_auto(cfg.mode, n * m);
-  if (kWindow && mode == Mode::kCpuTiled) mode = Mode::kCpuParallel;
   const std::size_t K =
-      kWindow ? resolve_checkpoint_interval(cfg.checkpoint_interval, n) : 0;
-  if (mode == Mode::kCpuSerial) {
-    const RowMajorLayout rows(n, m);
-    if constexpr (kWindow)
-      return WindowStore<V, RowMajorLayout>::peak_bytes(rows, p.deps(), K);
-    else
-      return FullStore<V, RowMajorLayout>::peak_bytes(rows, false);
-  }
-  if constexpr (!kWindow) {
-    if (mode == Mode::kCpuTiled ||
-        (mode != Mode::kCpuParallel && resolve_tile(p, cfg) > 0))
-      return FullStore<V, RowMajorLayout>::peak_bytes(
-          RowMajorLayout(n, m), tiled_store_on_device(mode));
-  }
+      resolve_checkpoint_interval(cfg.checkpoint_interval, n);
+  if (resolve_auto(cfg.mode, n * m) == Mode::kCpuSerial)
+    return WindowStore<V, RowMajorLayout>::peak_bytes(RowMajorLayout(n, m),
+                                                      p.deps(), K);
   const auto layout = pattern_layout<kPattern>(n, m);
   using Layout = std::remove_cvref_t<decltype(layout)>;
-  if constexpr (kWindow)
-    return WindowStore<V, Layout>::peak_bytes(layout, p.deps(), K);
-  else
-    return FullStore<V, Layout>::peak_bytes(
-        layout, store_on_device<kTier, kPattern>(mode));
+  return WindowStore<V, Layout>::peak_bytes(layout, p.deps(), K);
 }
 
 /// The mode dispatch of canonical pattern kPattern on both storage tiers.
@@ -156,14 +113,14 @@ std::size_t canonical_peak_table_bytes(const P& p, const RunConfig& cfg) {
 ///   * the tiled layer (kCpuTiled, RunConfig::tile) is full-tier only, over
 ///     a row-major FullStore: the frontier tier runs kCpuTiled as
 ///     kCpuParallel and ignores tile.
-/// A full-table grid on the frontier tier is wrapped in the FrontierTable
-/// facade. The frontier table has no remat callback or transform yet; the
-/// solve_frontier wrappers attach both. The pattern is a template
+/// Either way the strategy's store finishes into the result table; on the
+/// frontier tier it has no remat callback yet, and on neither a transform:
+/// detail::solve_tier attaches both. The pattern is a template
 /// argument so that the symmetric reductions (a transposed or mirrored
 /// problem, always Horizontal or Inverted-L) instantiate only their own
 /// pattern's strategies.
 template <Storage kTier, Pattern kPattern, LddpProblem P>
-TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
+SolveResult<P> solve_canonical(const P& p, const RunConfig& cfg) {
   static_assert(kPattern == Pattern::kAntiDiagonal ||
                     kPattern == Pattern::kHorizontal ||
                     kPattern == Pattern::kKnightMove ||
@@ -186,9 +143,7 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
   const bool fused = cfg.fused_launches;
   const bool batch = cfg.batch_kernels;
   sim::Device* const gpu = &platform.gpu();
-  sim::Device* const store_device =
-      store_on_device<kTier, kPattern>(mode) ? gpu : nullptr;
-  TierResult<kTier, P> result;
+  SolveResult<P> result;
   SolveStats* const stats = &result.stats;
   // Modelled memory amplification of the pattern's walk order on each
   // unit: row fronts are contiguous, diagonal fronts cache-hostile on the
@@ -204,27 +159,27 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
   }
 
   // Runs `strategy(store)` over a store of this tier on the pattern's
-  // layout, held where store_on_device puts it.
+  // layout. A window lives in simulated device memory whenever a device
+  // computes into it.
   auto run = [&](auto&& strategy) {
     const auto layout = pattern_layout<kPattern>(n, m);
     using Layout = std::remove_cvref_t<decltype(layout)>;
     if constexpr (kWindow) {
-      WindowStore<V, Layout> store(layout, deps, K, store_device);
+      WindowStore<V, Layout> store(layout, deps, K,
+                                   mode == Mode::kCpuParallel ? nullptr : gpu);
       result.table = strategy(store);
       stats->checkpoint_interval = K;
       stats->checkpoint_rows = result.table.checkpoint_row_count();
     } else {
-      FullStore<V, Layout> store(layout, store_device);
+      FullStore<V, Layout> store(layout);
       result.table = strategy(store);
     }
   };
 
-  // Runs a tiled `strategy(store)` over a full row-major store, held
-  // where tiled_store_on_device puts it.
+  // Runs a tiled `strategy(store)` over a full row-major store.
   auto run_tiled = [&](auto&& strategy) {
     const RowMajorLayout rows(n, m);
-    FullStore<V, RowMajorLayout> store(
-        rows, tiled_store_on_device(mode) ? gpu : nullptr);
+    FullStore<V, RowMajorLayout> store(rows);
     result.table = strategy(store);
   };
 
@@ -233,7 +188,8 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
       if constexpr (kWindow)
         result.table = solve_frontier_serial(p, &platform, stats, batch, K);
       else
-        result.table = solve_cpu_serial(p, &platform, stats, batch);
+        result.table = FrontierTable<V>::full(
+            solve_cpu_serial(p, &platform, stats, batch));
       break;
 
     case Mode::kCpuTiled:
@@ -313,8 +269,8 @@ TierResult<kTier, P> solve_canonical(const P& p, const RunConfig& cfg) {
 
 /// solve_canonical on a pattern known only at run time.
 template <Storage kTier, LddpProblem P>
-TierResult<kTier, P> solve_canonical(const P& p, Pattern pattern,
-                                     const RunConfig& cfg) {
+SolveResult<P> solve_canonical(const P& p, Pattern pattern,
+                               const RunConfig& cfg) {
   switch (pattern) {
     case Pattern::kAntiDiagonal:
       return solve_canonical<kTier, Pattern::kAntiDiagonal>(p, cfg);
@@ -331,140 +287,99 @@ TierResult<kTier, P> solve_canonical(const P& p, Pattern pattern,
 }
 
 /// The stats.peak_table_bytes that solve(p, cfg) (kFull) or
-/// solve_frontier(p, cfg) (kFrontier) reports, without running it.
+/// solve_frontier(p, cfg) (kFrontier) reports, without running it: one
+/// table's cells on the full tier, whatever the mode (no store keeps a
+/// second copy).
 template <Storage kTier, LddpProblem P>
 std::size_t peak_table_bytes(const P& p, const RunConfig& cfg) {
-  if (kTier == Storage::kFrontier && cfg.storage == Storage::kFull)
-    return peak_table_bytes<Storage::kFull>(p, cfg);
+  if (kTier == Storage::kFull || cfg.storage == Storage::kFull)
+    return p.rows() * p.cols() * sizeof(typename P::Value);
   switch (classify(p.deps())) {
     case Pattern::kAntiDiagonal:
-      return canonical_peak_table_bytes<kTier, Pattern::kAntiDiagonal>(p,
-                                                                       cfg);
+      return frontier_peak_table_bytes<Pattern::kAntiDiagonal>(p, cfg);
     case Pattern::kHorizontal:
-      return canonical_peak_table_bytes<kTier, Pattern::kHorizontal>(p, cfg);
+      return frontier_peak_table_bytes<Pattern::kHorizontal>(p, cfg);
     case Pattern::kKnightMove:
-      return canonical_peak_table_bytes<kTier, Pattern::kKnightMove>(p, cfg);
+      return frontier_peak_table_bytes<Pattern::kKnightMove>(p, cfg);
     case Pattern::kInvertedL:
-      return canonical_peak_table_bytes<kTier, Pattern::kInvertedL>(p, cfg);
+      return frontier_peak_table_bytes<Pattern::kInvertedL>(p, cfg);
     case Pattern::kVertical:
-      return canonical_peak_table_bytes<kTier, Pattern::kHorizontal>(
+      return frontier_peak_table_bytes<Pattern::kHorizontal>(
           TransposedProblem<P>(p), cfg);
     case Pattern::kMirroredInvertedL:
-      return canonical_peak_table_bytes<kTier, Pattern::kInvertedL>(
+      return frontier_peak_table_bytes<Pattern::kInvertedL>(
           MirroredProblem<P>(p), cfg);
-    default:
-      return p.rows() * p.cols() * sizeof(typename P::Value);
   }
+  return p.rows() * p.cols() * sizeof(typename P::Value);
 }
 
-/// Shared body of the solve_frontier overloads. `holder` is a copyable
-/// callable yielding the (caller-owned) problem; it is baked into the
-/// table's rematerialization callback, so whatever it references must
-/// outlive the returned table.
-template <LddpProblem P, typename Holder>
-FrontierSolveResult<P> solve_frontier_impl(const P& p, Holder holder,
-                                           const RunConfig& cfg) {
-  using V = typename P::Value;
-  using Transform = typename FrontierTable<V>::Transform;
+/// Shared body of solve() (kFull) and solve_frontier() (kFrontier):
+/// classifies the contributing set, runs the canonical pattern (through a
+/// symmetry adapter for Vertical and mirrored Inverted-L, undone by the
+/// table's Transform view), and on the frontier tier attaches the remat
+/// callback. `holder` is a copyable callable yielding the (caller-owned)
+/// problem; it is baked into that callback, so whatever it references
+/// must outlive the returned table.
+template <Storage kTier, LddpProblem P, typename Holder>
+SolveResult<P> solve_tier(const P& p, Holder holder, const RunConfig& cfg) {
+  using Transform = typename FrontierTable<typename P::Value>::Transform;
   LDDP_CHECK_MSG(p.rows() > 0 && p.cols() > 0,
                  "problem table must be non-empty");
-  if (cfg.storage == Storage::kFull) {
-    auto inner = solve(p, cfg);
-    FrontierSolveResult<P> out;
-    out.stats = inner.stats;
-    out.table = FrontierTable<V>::full(std::move(inner.table));
-    return out;
-  }
   const Pattern pattern = classify(p.deps());
-  FrontierSolveResult<P> out;
-  if (pattern == Pattern::kVertical) {
-    // Horizontal on the transposed table; the undo is a coordinate view
-    // on the facade (a frontier table cannot be transposed eagerly).
-    TransposedProblem<P> t(p);
-    auto inner =
-        solve_canonical<Storage::kFrontier, Pattern::kHorizontal>(t, cfg);
-    out.table = std::move(inner.table);
-    out.stats = inner.stats;
-    out.stats.pattern = Pattern::kVertical;
-    if (out.table.frontier())
-      attach_row_remat(
-          out.table,
-          [holder]() { return TransposedProblem<P>(holder()); },
-          cfg.batch_kernels);
-    out.table.set_transform(Transform::kTransposed);
+  // The canonical solve `inner` of the problem `make()` yields, in the
+  // caller's orientation.
+  auto adopt = [&](auto inner, auto make, Transform transform) {
+    SolveResult<P> out{std::move(inner.table), inner.stats};
+    out.stats.pattern = pattern;
+    if constexpr (kTier == Storage::kFrontier)
+      if (out.table.frontier())
+        attach_row_remat(out.table, std::move(make), cfg.batch_kernels);
+    out.table.set_transform(transform);
     return out;
+  };
+  if (pattern == Pattern::kVertical) {
+    // Horizontal on the transposed table (Section III symmetry).
+    return adopt(solve_canonical<kTier, Pattern::kHorizontal>(
+                     TransposedProblem<P>(p), cfg),
+                 [holder]() { return TransposedProblem<P>(holder()); },
+                 Transform::kTransposed);
   }
   if (pattern == Pattern::kMirroredInvertedL) {
-    MirroredProblem<P> mp(p);
-    auto inner =
-        solve_canonical<Storage::kFrontier, Pattern::kInvertedL>(mp, cfg);
-    out.table = std::move(inner.table);
-    out.stats = inner.stats;
-    out.stats.pattern = Pattern::kMirroredInvertedL;
-    if (out.table.frontier())
-      attach_row_remat(out.table,
-                       [holder]() { return MirroredProblem<P>(holder()); },
-                       cfg.batch_kernels);
-    out.table.set_transform(Transform::kMirrored);
-    return out;
+    // Inverted-L on the mirrored table.
+    return adopt(solve_canonical<kTier, Pattern::kInvertedL>(
+                     MirroredProblem<P>(p), cfg),
+                 [holder]() { return MirroredProblem<P>(holder()); },
+                 Transform::kMirrored);
   }
-  auto inner = solve_canonical<Storage::kFrontier>(p, pattern, cfg);
-  out.table = std::move(inner.table);
-  out.stats = inner.stats;
-  if (out.table.frontier())
-    attach_row_remat(out.table, holder, cfg.batch_kernels);
-  return out;
+  return adopt(solve_canonical<kTier>(p, pattern, cfg), holder,
+               Transform::kIdentity);
 }
 
 }  // namespace detail
 
-/// Solves the problem with the configured platform and mode. Thread-safe
-/// for distinct problem/config objects; one call uses one simulated
-/// platform instance.
+/// Solves the problem with the configured platform and mode on the full
+/// storage tier. Thread-safe for distinct problem/config objects; one call
+/// uses one simulated platform instance. The returned table owns its
+/// storage and does not reference the problem.
 template <LddpProblem P>
 SolveResult<P> solve(const P& p, const RunConfig& cfg = RunConfig{}) {
-  LDDP_CHECK_MSG(p.rows() > 0 && p.cols() > 0,
-                 "problem table must be non-empty");
-  const Pattern pattern = classify(p.deps());
-
-  if (pattern == Pattern::kVertical) {
-    // Horizontal on the transposed table (Section III symmetry).
-    TransposedProblem<P> t(p);
-    auto inner =
-        detail::solve_canonical<Storage::kFull, Pattern::kHorizontal>(t, cfg);
-    SolveResult<P> out;
-    out.table = transpose_grid(inner.table);
-    out.stats = inner.stats;
-    out.stats.pattern = Pattern::kVertical;
-    return out;
-  }
-  if (pattern == Pattern::kMirroredInvertedL) {
-    // Inverted-L on the mirrored table.
-    MirroredProblem<P> mp(p);
-    auto inner =
-        detail::solve_canonical<Storage::kFull, Pattern::kInvertedL>(mp, cfg);
-    SolveResult<P> out;
-    out.table = mirror_grid(inner.table);
-    out.stats = inner.stats;
-    out.stats.pattern = Pattern::kMirroredInvertedL;
-    return out;
-  }
-  return detail::solve_canonical<Storage::kFull>(p, pattern, cfg);
+  return detail::solve_tier<Storage::kFull>(
+      p, [pp = &p]() -> const P& { return *pp; }, cfg);
 }
 
 /// Solves the problem on the storage tier selected by cfg.storage:
 /// kFrontier (and kAuto) keeps only checkpoint rows plus the live front
 /// window during the sweep — O(rows/K * cols) retained instead of
 /// O(rows * cols) — and serves interior reads through checkpointed
-/// rematerialization; kFull wraps the ordinary solve() in the same
-/// facade. Final values and every traceback are bit-identical across
-/// tiers. The problem must outlive the returned table (its
-/// rematerialization callback re-runs p's recurrence); use the
+/// rematerialization; kFull is solve(). Final values and every traceback
+/// are bit-identical across tiers. The problem must outlive the returned
+/// table (its rematerialization callback re-runs p's recurrence); use the
 /// shared_ptr overload to have the table share ownership instead.
 template <LddpProblem P>
-FrontierSolveResult<P> solve_frontier(const P& p,
-                                      const RunConfig& cfg = RunConfig{}) {
-  return detail::solve_frontier_impl(
+SolveResult<P> solve_frontier(const P& p,
+                              const RunConfig& cfg = RunConfig{}) {
+  if (cfg.storage == Storage::kFull) return solve(p, cfg);
+  return detail::solve_tier<Storage::kFrontier>(
       p, [pp = &p]() -> const P& { return *pp; }, cfg);
 }
 
@@ -472,11 +387,12 @@ FrontierSolveResult<P> solve_frontier(const P& p,
 /// alive for as long as it may rematerialize (the batch engine uses this
 /// so tables can outlive their jobs).
 template <LddpProblem P>
-FrontierSolveResult<P> solve_frontier(std::shared_ptr<const P> sp,
-                                      const RunConfig& cfg = RunConfig{}) {
+SolveResult<P> solve_frontier(std::shared_ptr<const P> sp,
+                              const RunConfig& cfg = RunConfig{}) {
   LDDP_CHECK(sp != nullptr);
+  if (cfg.storage == Storage::kFull) return solve(*sp, cfg);
   const P& ref = *sp;
-  auto out = detail::solve_frontier_impl(
+  auto out = detail::solve_tier<Storage::kFrontier>(
       ref, [sp]() -> const P& { return *sp; }, cfg);
   out.table.keep_alive(std::move(sp));
   return out;

@@ -14,7 +14,7 @@
 //
 // Each lane's own rows live in a store of its storage tier over its
 // RowMajorLayout (core/strategies/frontier_engine.h): on the full tier a
-// FullStore, which is the result Grid itself; on the frontier tier a
+// FullStore, which fills the result Grid in place; on the frontier tier a
 // one- or two-row WindowStore whose after_front(i) keeps the checkpoint
 // rows and the last row. The driver is written once over the store, so
 // both tiers run the same lockstep body and the same per-solve row sweep
@@ -63,17 +63,12 @@ struct LaneExecStats {
 };
 
 /// A lane's storage on tier kTier, over the lane's RowMajorLayout: the
-/// result Grid itself (FullStore in host memory), or a one- or two-row
+/// result Grid filled in place (FullStore), or a one- or two-row
 /// WindowStore that keeps every K-th row and the last row.
 template <Storage kTier, typename V>
 using LaneStore = std::conditional_t<kTier == Storage::kFull,
                                      FullStore<V, RowMajorLayout>,
                                      WindowStore<V, RowMajorLayout>>;
-
-/// What a lane's store finishes into on tier kTier.
-template <Storage kTier, typename V>
-using LaneTable = std::conditional_t<kTier == Storage::kFull, Grid<V>,
-                                     FrontierTable<V>>;
 
 /// The lockstep sweep of a cohort whose every lane is at least
 /// min_rows x min_cols, over one row-major store per lane; fills `st`'s
@@ -210,7 +205,7 @@ void lane_lockstep(const std::vector<const P*>& probs, Stores& stores,
 /// aborts the cohort cleanly; the batch engine then degrades to per-lane
 /// solo execution, which runs poll-free as the guaranteed reference rung.
 template <Storage kTier, LddpProblem P>
-std::vector<LaneTable<kTier, typename P::Value>> run_lane_cohort(
+std::vector<FrontierTable<typename P::Value>> run_lane_cohort(
     const std::vector<const P*>& probs, const std::vector<std::size_t>& ks,
     bool batch_kernels, LaneExecStats* stats_out,
     const std::function<void(std::size_t)>& poll = {}) {
@@ -251,7 +246,7 @@ std::vector<LaneTable<kTier, typename P::Value>> run_lane_cohort(
                batch_kernels);
   }
 
-  std::vector<LaneTable<kTier, V>> tables;
+  std::vector<FrontierTable<V>> tables;
   tables.reserve(S);
   for (auto& store : stores) {
     st.peak_bytes.push_back(store.peak_bytes());
@@ -261,9 +256,9 @@ std::vector<LaneTable<kTier, typename P::Value>> run_lane_cohort(
   return tables;
 }
 
-/// Full-tier lane cohort: one result Grid per problem.
+/// Full-tier lane cohort: one whole table per problem.
 template <LddpProblem P>
-std::vector<Grid<typename P::Value>> solve_lane_cohort(
+std::vector<FrontierTable<typename P::Value>> solve_lane_cohort(
     const std::vector<const P*>& probs, bool batch_kernels,
     LaneExecStats* stats_out,
     const std::function<void(std::size_t)>& poll = {}) {

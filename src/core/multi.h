@@ -10,8 +10,8 @@
 // (d2h on the producer, h2d on the consumer), as CUDA 5.0-era systems
 // without peer access would do.
 //
-// Every unit writes one host-visible row-major FullStore — the result
-// grid, filled in place (core/strategies/frontier_engine.h) — so the
+// Every unit writes one host-visible row-major FullStore — it fills the
+// result grid in place (core/strategies/frontier_engine.h) — so the
 // boundary cells a unit reads from its neighbours' strips are already in
 // it: the boundary transfers are priced, never performed.
 #pragma once
@@ -56,15 +56,14 @@ MultiSplit default_multi_split(const P& p, sim::Platform& platform) {
 /// Solves a horizontal-pattern problem across CPU + all of the platform's
 /// devices. `split` may be empty (throughput-proportional default).
 template <LddpProblem P>
-Grid<typename P::Value> solve_multi_horizontal(const P& p,
-                                               sim::Platform& platform,
-                                               MultiSplit split,
-                                               SolveStats* stats) {
+FrontierTable<typename P::Value> solve_multi_horizontal(
+    const P& p, sim::Platform& platform, MultiSplit split,
+    SolveStats* stats) {
   using V = typename P::Value;
   Stopwatch wall;
   const std::size_t n = p.rows(), m = p.cols();
   const ContributingSet deps = p.deps();
-  LDDP_CHECK_MSG(canonical(classify(deps)) == Pattern::kHorizontal,
+  LDDP_CHECK_MSG(classify(deps) == Pattern::kHorizontal,
                  "solve_multi_horizontal needs a horizontal-pattern problem "
                  "(got " << to_string(classify(deps)) << ")");
   const V bound = p.boundary();

@@ -110,9 +110,9 @@ inline typename P::Value compute_cell(const P& p, ContributingSet deps,
   return p.compute(i, j, nb);
 }
 
-/// Assembles columns [j_begin, j_end) of the row-major result grid from
-/// storage in the layout's own dense flat() order (see
-/// unpack_front_major for the cache blocking).
+/// Assembles columns [j_begin, j_end) of a row-major grid from storage in
+/// the layout's own dense flat() order (see unpack_front_major for the
+/// cache blocking).
 template <typename V, typename Layout>
 void unpack_table(const V* src, const Layout& layout, Grid<V>& table,
                   std::size_t j_begin, std::size_t j_end) {

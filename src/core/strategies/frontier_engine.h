@@ -7,19 +7,22 @@
 //                    the SIMD batch-front machinery works unchanged);
 //   after_front(f)   called once front f is complete; returns the cells it
 //                    copied out of the live storage;
-//   finish()         the caller-facing table;
+//   finish()         the caller-facing FrontierTable;
 //   peak_bytes()     table-storage high-water across host and device.
-// Either store lives in host memory or, for the GPU and heterogeneous
-// strategies, in simulated device memory (a BufferPool acquisition).
 //
-//   * FullStore   — the whole table: front-major (tables/front_major.h)
-//     and unpacked into the row-major Grid once, or — row fronts in host
-//     memory — the Grid itself. after_front harvests nothing.
+//   * FullStore   — the whole table: a front-major block
+//     (tables/front_major.h), or — row and knight-move fronts — a
+//     row-major Grid. finish() hands it to the FrontierTable as it is,
+//     which reads each cell where the sweep wrote it. after_front
+//     harvests nothing. Host memory always: the table outlives the
+//     solve's platform.
 //   * WindowStore — a rolling FrontWindow of the last few fronts
 //     (front_runner.h frontier_window_fronts gives the per-layout width);
 //     after_front harvests the checkpoint rows i % K == 0 and the last row
 //     into a FrontierTable, O(window + rows/K * cols) instead of
-//     O(rows * cols).
+//     O(rows * cols). It lives in host memory or, for the GPU and
+//     heterogeneous strategies, in simulated device memory (a BufferPool
+//     acquisition released when the solve returns).
 //
 // The strategies' schedules and pricing are the paper's, whatever the
 // store — Inverted-L included: its shells are priced on the paper's
@@ -50,6 +53,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <type_traits>
 
 #include "core/front_runner.h"
@@ -267,10 +271,10 @@ void finish_frontier_stats(SolveStats* stats, const FrontierTable<V>& t,
   stats->checkpoint_rows = t.checkpoint_row_count();
 }
 
-/// Backing memory of a store: aligned host scratch, or a simulated device
-/// allocation (through the platform's BufferPool, so arena reuse and the
-/// pool-acquire fault site see it). Every cell is written before it is
-/// read, so neither is zero-filled.
+/// Backing memory of a window store: aligned host scratch, or a simulated
+/// device allocation (through the platform's BufferPool, so arena reuse
+/// and the pool-acquire fault site see it). Every cell is written before
+/// it is read, so neither is zero-filled.
 template <typename V>
 class StoreMemory {
  public:
@@ -299,53 +303,64 @@ inline void record_halo(sim::LaunchGraph& graph, sim::Device::StreamId stream,
 
 namespace lddp {
 
-/// The whole table. Row fronts in host memory are the rows of the result
-/// Grid and fill it in place; any other front order, or device memory,
-/// fills a padded front-major table that finish() unpacks into the Grid
-/// once, so every neighbour span of the sweep is stride-one.
+/// The whole table. Anti-diagonal fronts and Inverted-L shells fill a
+/// padded front-major block, so every neighbour span of the sweep is
+/// stride-one; row fronts fill a row-major Grid in place, and so do
+/// knight-move fronts (see kInGrid). finish() hands either to the
+/// FrontierTable as it is: nothing is unpacked. The memory is host memory
+/// (the heap or the BlockCache) even when the strategy prices the table
+/// as device-resident, so the returned table owns it outright.
 template <typename V, typename Layout>
 class FullStore {
  public:
-  /// `device` null keeps the table in host memory.
-  explicit FullStore(const Layout& layout, sim::Device* device = nullptr)
-      : in_place_(fills_grid(device != nullptr)),
-        idx_(in_place_ ? FrontMajorIndex<Layout>(layout)
-                       : FrontMajorIndex<Layout>(layout, sizeof(V))) {
-    if (in_place_) {
+  /// Keeps a pointer to `layout`, which must outlive the store.
+  explicit FullStore(const Layout& layout) : layout_(&layout) {
+    if constexpr (kInGrid) {
       grid_ = Grid<V>::uninitialized(layout.rows(), layout.cols());
       data_ = grid_.data();
     } else {
-      data_ = memory_.acquire(idx_.size(), device);
+      idx_.emplace(layout, sizeof(V));
+      data_ = block_.ensure(idx_->size());
     }
   }
 
-  const Layout& layout() const { return idx_.layout(); }
+  const Layout& layout() const { return *layout_; }
   V* addr(std::size_t i, std::size_t j) const {
-    return data_ + idx_.flat(i, j);
+    if constexpr (kInGrid)
+      return data_ + i * layout_->cols() + j;
+    else
+      return data_ + idx_->flat(i, j);
   }
   std::size_t after_front(std::size_t) { return 0; }
-  Grid<V> finish() {
-    if (!in_place_) grid_ = unpack_front_major(data_, idx_);
-    return std::move(grid_);
+  FrontierTable<V> finish() {
+    if constexpr (kInGrid)
+      return FrontierTable<V>::full(std::move(grid_));
+    else
+      return FrontierTable<V>::front_major(std::move(block_),
+                                           FrontMajorCells(*idx_));
   }
-  /// The result Grid, plus the front-major table it is unpacked from
-  /// unless the store fills the Grid in place. Static, so admission can
-  /// price a request before it runs (BatchEngine's memory budget).
-  static std::size_t peak_bytes(const Layout& layout, bool device) {
-    return layout.rows() * layout.cols() * sizeof(V) *
-           (fills_grid(device) ? 1 : 2);
+  /// One table's cells. Static, so admission can price a request before
+  /// it runs (BatchEngine's memory budget).
+  static std::size_t peak_bytes(const Layout& layout) {
+    return layout.rows() * layout.cols() * sizeof(V);
   }
-  std::size_t peak_bytes() const { return peak_bytes(layout(), !in_place_); }
+  std::size_t peak_bytes() const { return peak_bytes(layout()); }
 
  private:
-  static constexpr bool fills_grid(bool device) {
-    return std::is_same_v<Layout, RowMajorLayout> && !device;
-  }
+  /// Row fronts are the grid's rows. A knight-move front's cells lie two
+  /// columns apart on successive rows, so a front-major table puts every
+  /// cell of a grid row on another front: the row-order reads of its
+  /// consumers (a dithered image is read whole) would miss cache and TLB
+  /// on nearly every cell, which costs more than the strided spans the
+  /// sweep takes over the grid instead.
+  static constexpr bool kInGrid =
+      std::is_same_v<Layout, RowMajorLayout> ||
+      std::is_same_v<Layout, KnightMoveLayout>;
 
-  bool in_place_;
-  FrontMajorIndex<Layout> idx_;
-  detail::StoreMemory<V> memory_;
+  const Layout* layout_;
+  std::optional<FrontMajorIndex<Layout>> idx_;
   Grid<V> grid_;
+  AlignedBuf<V> block_;
   V* data_ = nullptr;
 };
 

@@ -51,8 +51,9 @@ TileFrontWork tile_front_work(const TileScheduler& sched,
 }  // namespace detail
 
 /// `store` (core/strategies/frontier_engine.h) is a FullStore over a
-/// RowMajorLayout in device memory: a tile row is a contiguous segment,
-/// so the staged tile loads and stores coalesce without a bespoke layout.
+/// RowMajorLayout, priced as device memory: a tile row is a contiguous
+/// segment, so the staged tile loads and stores coalesce without a bespoke
+/// layout.
 template <LddpProblem P, typename Store>
 auto solve_gpu_tiled(const P& p, Store& store, sim::Platform& platform,
                      std::size_t tile, SolveStats* stats, bool fused = true,

@@ -72,8 +72,10 @@ class FloydSteinbergProblem {
   double threshold_;
 };
 
-/// Extracts the dithered bitmap from a solved table.
-inline GrayImage dithered_image(const Grid<FsCell>& table) {
+/// Extracts the dithered bitmap from a solved table (a Grid or a
+/// FrontierTable).
+template <typename Table>
+GrayImage dithered_image(const Table& table) {
   GrayImage out(table.rows(), table.cols());
   for (std::size_t i = 0; i < table.rows(); ++i)
     for (std::size_t j = 0; j < table.cols(); ++j)

@@ -77,9 +77,10 @@ class LcsProblem {
   std::string a_, b_;
 };
 
-/// Recovers one longest common subsequence from a solved table.
-inline std::string lcs_traceback(const LcsProblem& p,
-                                 const Grid<std::int32_t>& t) {
+/// Recovers one longest common subsequence from a solved table (any
+/// table type with at(i, j): a Grid or a solve's FrontierTable).
+template <typename Table>
+std::string lcs_traceback(const LcsProblem& p, const Table& t) {
   std::string out;
   std::size_t i = p.rows() - 1, j = p.cols() - 1;
   while (i > 0 && j > 0) {

@@ -78,8 +78,9 @@ inline Grid<std::uint8_t> random_bit_grid(std::size_t rows, std::size_t cols,
   return g;
 }
 
-/// Largest square side from a solved table.
-inline std::int32_t max_square_side(const Grid<std::int32_t>& t) {
+/// Largest square side from a solved table (a Grid or a FrontierTable).
+template <typename Table>
+std::int32_t max_square_side(const Table& t) {
   std::int32_t best = 0;
   for (std::size_t i = 0; i < t.rows(); ++i)
     for (std::size_t j = 0; j < t.cols(); ++j)

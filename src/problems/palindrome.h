@@ -58,7 +58,8 @@ class PalindromeProblem {
   std::size_t result_bytes() const { return cols() * sizeof(Value); }
 
   /// The answer: P(0, n-1) = table cell (n-1, n-1).
-  static Value answer(const Grid<Value>& t) {
+  template <typename Table>
+  static Value answer(const Table& t) {
     return t.at(t.rows() - 1, t.cols() - 1);
   }
 

@@ -1,14 +1,16 @@
 // Front-major table addressing and the one-pass unpack into a row-major
 // Grid.
 //
-// Full-table solves compute into front-major storage — every front
-// contiguous, fronts in execution order — whatever the pattern, so each
-// neighbour span the batch front runner hands to compute_front is
-// stride-one (a pointer, never a gather into scratch), and then unpack the
-// finished table into the caller's row-major Grid once. On diagonal-order
-// patterns the alternative, walking fronts directly over the row-major
-// grid, makes every neighbour of every span a stride-(cols - 1) gather and
-// every output a strided scatter.
+// Full-table solves on anti-diagonal fronts and Inverted-L shells compute
+// into front-major storage — every front contiguous, fronts in execution
+// order — so each neighbour span the batch front runner hands to
+// compute_front is stride-one (a pointer, never a gather into scratch).
+// The finished block is the result table: FrontierTable
+// (tables/frontier.h) reads each cell where the sweep wrote it, through
+// the block's FrontMajorCells; nothing is unpacked into a row-major Grid
+// on the solve path. On diagonal-order patterns the alternative, walking
+// fronts directly over the row-major grid, makes every neighbour of every
+// span a stride-(cols - 1) gather and every output a strided scatter.
 //
 // FrontMajorIndex places front f at front_offset(f). Fronts are padded to
 // whole 64-byte cache lines (a front's first element is line-aligned when
@@ -80,6 +82,54 @@ class FrontMajorIndex {
 
   const Layout* layout_;
   std::vector<std::size_t> offsets_;
+};
+
+/// The addressing of a padded anti-diagonal or shell FrontMajorIndex
+/// without its layout: cell (i, j) of an anti-diagonal table is element
+/// base[i + j] + i; of a shell table, base[i] + j in shell i's row part
+/// (j >= i) and col[j] - i in shell j's column part (i > j). One lookup
+/// per read and no division, and the result table that keeps it needs no
+/// layout type.
+class FrontMajorCells {
+ public:
+  FrontMajorCells() = default;
+  template <typename Layout>
+  explicit FrontMajorCells(const FrontMajorIndex<Layout>& idx)
+      : rows_(idx.layout().rows()),
+        cols_(idx.layout().cols()),
+        shells_(std::is_same_v<Layout, ShellLayout>) {
+    static_assert(std::is_same_v<Layout, AntiDiagonalLayout> ||
+                      std::is_same_v<Layout, ShellLayout>,
+                  "FrontMajorCells: anti-diagonal or shell layouts only");
+    const Layout& L = idx.layout();
+    for (std::size_t f = 0; f < L.num_fronts(); ++f) {
+      const auto off = static_cast<std::ptrdiff_t>(idx.front_offset(f));
+      const auto sf = static_cast<std::ptrdiff_t>(f);
+      if constexpr (std::is_same_v<Layout, ShellLayout>) {
+        base_.push_back(
+            off + static_cast<std::ptrdiff_t>(L.column_part_size(f)) - sf);
+        col_.push_back(off + static_cast<std::ptrdiff_t>(rows_) - 1);
+      } else {
+        base_.push_back(off - static_cast<std::ptrdiff_t>(L.i_min(f)));
+      }
+    }
+  }
+
+  bool empty() const { return base_.empty(); }
+  std::size_t rows() const { return rows_; }
+  std::size_t cols() const { return cols_; }
+  std::size_t flat(std::size_t i, std::size_t j) const {
+    const auto si = static_cast<std::ptrdiff_t>(i);
+    const auto sj = static_cast<std::ptrdiff_t>(j);
+    if (!shells_) return static_cast<std::size_t>(base_[i + j] + si);
+    return static_cast<std::size_t>(i > j ? col_[j] - si : base_[i] + sj);
+  }
+
+ private:
+  std::size_t rows_ = 0, cols_ = 0;
+  bool shells_ = false;
+  std::vector<std::ptrdiff_t> base_;  ///< per front
+  std::vector<std::ptrdiff_t> col_;   ///< per shell: its column part
 };
 
 /// Copies columns [j_begin, j_end) of a front-major table into the
@@ -192,16 +242,6 @@ void unpack_front_major(const V* src, const FrontMajorIndex<Layout>& idx,
       for (std::size_t j = j_begin; j < j_end; ++j)
         out.at(i, j) = src[idx.flat(i, j)];
   }
-}
-
-/// Whole-table unpack into a fresh row-major grid; every cell is written,
-/// so the grid skips its zero-fill.
-template <typename V, typename Layout>
-Grid<V> unpack_front_major(const V* src, const FrontMajorIndex<Layout>& idx) {
-  const Layout& L = idx.layout();
-  Grid<V> out = Grid<V>::uninitialized(L.rows(), L.cols());
-  unpack_front_major(src, idx, out, 0, L.cols());
-  return out;
 }
 
 }  // namespace lddp

@@ -1,4 +1,15 @@
-// Linear-space result table for the frontier storage tier.
+// The result table of every solve, on both storage tiers.
+//
+// One type serves three backings, all read through at(i, j) in user
+// orientation:
+//   * a row-major Grid — the serial scan, row and knight-move fronts and
+//     the tiled layer fill it in place;
+//   * a front-major block plus the addressing it was filled through
+//     (FrontMajorCells, tables/front_major.h) — the full tier's
+//     anti-diagonal fronts and Inverted-L shells; each cell is read where
+//     the sweep wrote it, and nothing is unpacked unless a caller asks for
+//     a dense Grid (to_grid());
+//   * checkpoint rows — the frontier tier (Storage::kFrontier).
 //
 // A frontier-backed solve never materializes the O(rows x cols) grid: it
 // retains one checkpoint row every K rows (plus the last row, where the
@@ -23,14 +34,17 @@
 // Monotone backward walks — every traceback in problems/ — therefore
 // rematerialize each band at most once.
 //
-// The same type doubles as a facade over a fully materialized Grid
-// (Storage::kFull), so consumers are written once against FrontierTable
-// and work on either tier.
+// The symmetry reductions (Vertical, mirrored Inverted-L) solve a
+// transposed or mirrored problem; the table undoes that with a coordinate
+// view (Transform), never a copy.
 //
-// at() is const but memoizes the cached band internally: concurrent reads
-// of one FrontierTable must be externally synchronized. The remat
-// callback typically references the problem object by pointer — the
-// problem must outlive the table unless keep_alive() holds it.
+// Full-tier reads touch no mutable state, so concurrent at() calls on one
+// grid- or block-backed table are safe. A frontier table memoizes its
+// cached band: concurrent reads of one must be externally synchronized.
+// Its remat callback typically references the problem object by pointer —
+// the problem must outlive the table unless keep_alive() holds it. A
+// full-tier table owns its storage outright (host memory from the heap or
+// the BlockCache) and points into no solve's platform, device or pool.
 #pragma once
 
 #include <cstddef>
@@ -39,6 +53,7 @@
 #include <optional>
 #include <vector>
 
+#include "tables/front_major.h"
 #include "tables/grid.h"
 #include "tables/layout.h"
 #include "util/aligned.h"
@@ -62,10 +77,9 @@ class FrontierTable {
                          std::size_t width, const V* prev_row, V* out,
                          const AntiDiagonalLayout* fronts)>;
 
-  /// Coordinate view applied on top of the canonical storage — the
-  /// frontier analogue of transpose_grid / mirror_grid for the symmetry
-  /// adapters (a frontier table cannot be re-materialized eagerly, so the
-  /// undo is a view, not a copy).
+  /// Coordinate view applied on top of the canonical storage: how the
+  /// table undoes the symmetry adapters (core/adapters.h) — a view, not a
+  /// transpose_grid / mirror_grid copy.
   enum class Transform { kIdentity, kTransposed, kMirrored };
 
   /// Rematerialization accounting (diagnostics and tests).
@@ -77,12 +91,24 @@ class FrontierTable {
 
   FrontierTable() = default;
 
-  /// Full tier: wraps an already materialized grid (user orientation).
+  /// Full tier: wraps a filled row-major grid.
   static FrontierTable full(Grid<V> g) {
     FrontierTable t;
     t.crows_ = g.rows();
     t.ccols_ = g.cols();
     t.full_ = std::move(g);
+    return t;
+  }
+
+  /// Full tier: takes a filled front-major block and the addressing it
+  /// was filled through; cells are read in place.
+  static FrontierTable front_major(AlignedBuf<V> block,
+                                   FrontMajorCells cells) {
+    FrontierTable t;
+    t.crows_ = cells.rows();
+    t.ccols_ = cells.cols();
+    t.block_ = std::move(block);
+    t.cells_ = std::move(cells);
     return t;
   }
 
@@ -119,8 +145,9 @@ class FrontierTable {
     return transform_ == Transform::kTransposed ? crows_ : ccols_;
   }
 
-  /// Cell (i, j) in user orientation, by value (interior cells may be
-  /// served from band scratch that a later read can evict).
+  /// Cell (i, j) in user orientation, by value (interior cells of a
+  /// frontier table may be served from band scratch that a later read can
+  /// evict).
   V at(std::size_t i, std::size_t j) const {
     switch (transform_) {
       case Transform::kIdentity:
@@ -131,6 +158,23 @@ class FrontierTable {
         return canonical_at(i, ccols_ - 1 - j);
     }
     return canonical_at(i, j);
+  }
+
+  /// The whole table as a dense row-major Grid in user orientation: a
+  /// copy (an unpack of a front-major block, a rematerializing scan of a
+  /// frontier table). For callers that need contiguous rows; cell reads
+  /// need no grid.
+  Grid<V> to_grid() const {
+    Grid<V> g = canonical_grid();
+    switch (transform_) {
+      case Transform::kIdentity:
+        break;
+      case Transform::kTransposed:
+        return transpose_grid(g);
+      case Transform::kMirrored:
+        return mirror_grid(g);
+    }
+    return g;
   }
 
   // --- engine-facing (canonical orientation) ----------------------------
@@ -165,7 +209,8 @@ class FrontierTable {
   }
 
   /// Bytes held for the lifetime of the table (checkpoints + last row,
-  /// or the whole grid on the full tier).
+  /// or the whole table on the full tier; a front-major block's line
+  /// padding is not counted).
   std::size_t resident_bytes() const {
     if (!frontier()) return crows_ * ccols_ * sizeof(V);
     return checkpointed_bytes(crows_, ccols_, k_);
@@ -183,7 +228,10 @@ class FrontierTable {
 
   V canonical_at(std::size_t i, std::size_t j) const {
     LDDP_DCHECK(i < crows_ && j < ccols_);
-    if (!frontier()) return full_.at(i, j);
+    if (!frontier()) {
+      if (cells_.empty()) return full_.at(i, j);
+      return block_.data()[cells_.flat(i, j)];
+    }
     if (i == crows_ - 1) return last_[j];
     if (i % k_ == 0) return ckpt_[(i / k_) * ccols_ + j];
     const std::size_t c = i / k_;
@@ -199,6 +247,17 @@ class FrontierTable {
     if (front_major_)
       return scratch_.data()[band_fronts_->flat(i - band_lo + 1, j)];
     return scratch_.data()[(i - band_lo) * cached_w_ + j];
+  }
+
+  /// to_grid() before the transform: row by row, so a frontier table
+  /// rematerializes each band once.
+  Grid<V> canonical_grid() const {
+    if (!frontier() && cells_.empty()) return full_;
+    Grid<V> g = Grid<V>::uninitialized(crows_, ccols_);
+    for (std::size_t i = 0; i < crows_; ++i)
+      for (std::size_t j = 0; j < ccols_; ++j)
+        g.at(i, j) = canonical_at(i, j);
+    return g;
   }
 
   /// (Re)materializes band c — rows (c*k, min(c*k + k, rows-1)) — out to
@@ -241,7 +300,9 @@ class FrontierTable {
 
   std::size_t crows_ = 0, ccols_ = 0;  ///< canonical dimensions
   std::size_t k_ = 0;                  ///< 0 = full tier
-  Grid<V> full_;                       ///< full tier storage
+  Grid<V> full_;                       ///< full tier, row-major backing
+  AlignedBuf<V> block_;                ///< full tier, front-major backing
+  FrontMajorCells cells_;              ///< block_'s addressing
   std::vector<V> ckpt_;                ///< rows 0, k, 2k, ... row-major
   std::vector<V> last_;                ///< row crows_ - 1
   RematFn remat_;

@@ -103,4 +103,23 @@ class Grid {
   Storage data_;
 };
 
+/// The transpose of `g` (undoes a transpose adapter, core/adapters.h).
+template <typename V>
+Grid<V> transpose_grid(const Grid<V>& g) {
+  Grid<V> out(g.cols(), g.rows());
+  for (std::size_t i = 0; i < g.rows(); ++i)
+    for (std::size_t j = 0; j < g.cols(); ++j) out.at(j, i) = g.at(i, j);
+  return out;
+}
+
+/// `g` with its columns reversed (undoes a mirror adapter).
+template <typename V>
+Grid<V> mirror_grid(const Grid<V>& g) {
+  Grid<V> out(g.rows(), g.cols());
+  for (std::size_t i = 0; i < g.rows(); ++i)
+    for (std::size_t j = 0; j < g.cols(); ++j)
+      out.at(i, g.cols() - 1 - j) = g.at(i, j);
+  return out;
+}
+
 }  // namespace lddp

@@ -85,7 +85,7 @@ TEST(AdaptersTest, VerticalProblemSolvesThroughTranspose) {
     cfg.mode = mode;
     const auto r = solve(p, cfg);
     EXPECT_EQ(r.stats.pattern, Pattern::kVertical);
-    EXPECT_EQ(r.table, problems::column_min_reference(costs))
+    EXPECT_EQ(r.table.to_grid(), problems::column_min_reference(costs))
         << to_string(mode);
   }
 }

@@ -133,7 +133,7 @@ void run_level(std::size_t concurrency, std::size_t cases,
       RunConfig serial;
       serial.mode = Mode::kCpuSerial;
       const auto problem = make_problem(c);
-      expected.push_back(solve(problem, serial).table);
+      expected.push_back(solve(problem, serial).table.to_grid());
       auto f = engine.submit(problem, c.cfg,
                              1.0 + static_cast<double>(k % 3));
       ASSERT_TRUE(f.has_value()) << c.describe();
@@ -147,7 +147,7 @@ void run_level(std::size_t concurrency, std::size_t cases,
       ASSERT_NO_THROW(got = futures[k].get())
           << "seed=" << seed << " case " << done + k << ": "
           << batch[k].describe();
-      ASSERT_EQ(got.table, expected[k])
+      ASSERT_EQ(got.table.to_grid(), expected[k])
           << "seed=" << seed << " case " << done + k << ": "
           << batch[k].describe();
       EXPECT_FALSE(rep.items[k].failed);

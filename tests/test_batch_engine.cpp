@@ -48,7 +48,7 @@ TEST(BatchEngine, BitIdenticalToSolo) {
   const BatchReport rep = engine.wait();
   const auto got = f->get();
 
-  EXPECT_EQ(got.table, solo.table);
+  EXPECT_EQ(got.table.to_grid(), solo.table.to_grid());
   ASSERT_EQ(rep.solves, 1u);
   // The request's solo makespan is preserved in the report, and a batch of
   // one has nothing to overlap with: makespan == solo makespan.
@@ -189,7 +189,7 @@ TEST(BatchEngine, TinyBufferQuotaKeepsResultsIdentical) {
   auto f = engine.submit(p, rc);
   ASSERT_TRUE(f.has_value());
   engine.wait();
-  EXPECT_EQ(f->get().table, solo.table);
+  EXPECT_EQ(f->get().table.to_grid(), solo.table.to_grid());
 }
 
 TEST(BatchEngine, ConcurrencyOneMatchesSerialSum) {

@@ -223,12 +223,12 @@ TEST(BlockCacheSolveTest, ReusedBlocksGiveReferenceTables) {
   const auto fs_ref = solve_cpu_serial(fs, nullptr, nullptr);
   RunConfig rc;
   rc.mode = Mode::kCpuParallel;
-  EXPECT_EQ(solve(lev, rc).table, lev_ref);
+  EXPECT_EQ(solve(lev, rc).table.to_grid(), lev_ref);
   rc.mode = Mode::kGpu;
-  EXPECT_EQ(fs_mismatches(solve(fs, rc).table, fs_ref), 0u);
+  EXPECT_EQ(fs_mismatches(solve(fs, rc).table.to_grid(), fs_ref), 0u);
   const std::size_t hits = BlockCache::instance().stats().hits;
   rc.mode = Mode::kHeterogeneous;
-  EXPECT_EQ(solve(lev, rc).table, lev_ref);
+  EXPECT_EQ(solve(lev, rc).table.to_grid(), lev_ref);
   EXPECT_GT(BlockCache::instance().stats().hits, hits);
 }
 

@@ -86,26 +86,38 @@ TEST(BufferPoolTest, DeviceBufferRoundTripsThroughPool) {
   EXPECT_EQ(pool.stats().hits, 1u);
 }
 
+// Device-mode solves draw their simulated device memory from the pool:
+// the frontier tier's window comes back from the arena cache on the next
+// solve. The full tier's table is the result the caller keeps, so it never
+// comes from the pool (a table must not outlive the arena it points into).
 TEST(BufferPoolTest, RepeatedSolvesReuseArenasAndStayCorrect) {
   const std::string a = "heterogeneous", b = "framework";
   problems::LevenshteinProblem p(a, b);
 
   RunConfig base;
   base.mode = Mode::kCpuSerial;
-  const auto ref = solve(p, base);
+  const Grid<int> ref = solve(p, base).table.to_grid();
 
   sim::BufferPool pool;
   RunConfig cfg;
   cfg.mode = Mode::kGpu;
+  cfg.storage = Storage::kFrontier;
   cfg.buffer_pool = &pool;
-  const auto first = solve(p, cfg);
-  EXPECT_EQ(first.table, ref.table);
+  const auto first = solve_frontier(p, cfg);
+  EXPECT_EQ(first.table.to_grid(), ref);
   EXPECT_EQ(pool.stats().hits, 0u);  // cold pool
 
-  const auto second = solve(p, cfg);
-  EXPECT_EQ(second.table, ref.table);
+  const auto second = solve_frontier(p, cfg);
+  EXPECT_EQ(second.table.to_grid(), ref);
   EXPECT_GT(pool.stats().hits, 0u);  // arenas came back from the cache
   EXPECT_DOUBLE_EQ(second.stats.sim_seconds, first.stats.sim_seconds);
+
+  const sim::BufferPool::Stats before = pool.stats();
+  const auto full = solve(p, cfg);
+  EXPECT_EQ(full.table.to_grid(), ref);
+  EXPECT_EQ(pool.stats().hits + pool.stats().misses,
+            before.hits + before.misses);
+  EXPECT_EQ(pool.stats().live_bytes, 0u);
 }
 
 TEST(BufferPoolTest, HeteroSolvesShareOnePool) {
@@ -113,16 +125,18 @@ TEST(BufferPoolTest, HeteroSolvesShareOnePool) {
   problems::LevenshteinProblem p(a, b);
   RunConfig base;
   base.mode = Mode::kCpuSerial;
-  const auto ref = solve(p, base);
+  const Grid<int> ref = solve(p, base).table.to_grid();
 
   sim::BufferPool pool;
   RunConfig cfg;
   cfg.mode = Mode::kHeterogeneous;
   cfg.hetero = {2, 3};
+  cfg.storage = Storage::kFrontier;
   cfg.buffer_pool = &pool;
-  EXPECT_EQ(solve(p, cfg).table, ref.table);
-  EXPECT_EQ(solve(p, cfg).table, ref.table);
+  EXPECT_EQ(solve_frontier(p, cfg).table.to_grid(), ref);
+  EXPECT_EQ(solve_frontier(p, cfg).table.to_grid(), ref);
   EXPECT_GT(pool.stats().hits, 0u);
+  EXPECT_EQ(pool.stats().live_bytes, 0u);
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ void cancel_race_level(long long workers) {
   std::vector<std::future<SolveResult<Problem>>> futures;
   for (std::size_t k = 0; k < kRequests; ++k) {
     const auto p = make_case(64, k);
-    expected.push_back(solve(p, serial).table);
+    expected.push_back(solve(p, serial).table.to_grid());
     RunConfig rc;
     rc.mode = k % 2 == 0 ? Mode::kHeterogeneous : Mode::kCpuParallel;
     chaos::RequestOptions opts;
@@ -76,7 +76,7 @@ void cancel_race_level(long long workers) {
   for (std::size_t k = 0; k < kRequests; ++k) {
     try {
       SolveResult<Problem> got = futures[k].get();
-      EXPECT_EQ(got.table, expected[k]) << k;
+      EXPECT_EQ(got.table.to_grid(), expected[k]) << k;
       EXPECT_NE(rep.items[k].outcome, chaos::RequestOutcome::kCancelled)
           << k;
     } catch (const fault::CancelledError&) {

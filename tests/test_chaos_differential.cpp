@@ -134,7 +134,7 @@ void run_plan(std::uint64_t plan_seed, bool inline_workers) {
       r.deadline_ms = rng.uniform_int(0, 1) == 0 ? 1e-6 : 1e6;
 
     const auto problem = make_problem(r.deps, r.rows, r.cols, r.salt);
-    expected.push_back(solve(problem, serial).table);
+    expected.push_back(solve(problem, serial).table.to_grid());
     chaos::RequestOptions opts;
     if (r.cancel_upfront) {
       sources[k].request_cancel();
@@ -163,7 +163,7 @@ void run_plan(std::uint64_t plan_seed, bool inline_workers) {
       SolveResult<Problem> got = futures[k].get();
       // Bits: any fulfilled future — however many faults, retries and
       // degradations — is identical to the solo serial scan.
-      EXPECT_EQ(got.table, expected[k]);
+      EXPECT_EQ(got.table.to_grid(), expected[k]);
       EXPECT_TRUE(outcome == chaos::RequestOutcome::kOk ||
                   outcome == chaos::RequestOutcome::kRetried ||
                   outcome == chaos::RequestOutcome::kDegraded);

@@ -41,7 +41,7 @@ TEST(ColumnMinTest, AllModesMatchReference) {
                     Mode::kHeterogeneous}) {
     RunConfig cfg;
     cfg.mode = mode;
-    EXPECT_EQ(solve(p, cfg).table, ref) << to_string(mode);
+    EXPECT_EQ(solve(p, cfg).table.to_grid(), ref) << to_string(mode);
   }
 }
 

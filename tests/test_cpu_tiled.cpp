@@ -23,7 +23,7 @@ TEST(CpuTiledTest, MatchesSerialAcrossTileSizes) {
     cfg.mode = Mode::kCpuTiled;
     cfg.cpu_tile = tile;
     const auto r = solve(p, cfg);
-    EXPECT_EQ(r.table, ref.table) << "tile " << tile;
+    EXPECT_EQ(r.table.to_grid(), ref.table.to_grid()) << "tile " << tile;
     EXPECT_EQ(r.stats.mode_used, Mode::kCpuTiled);
   }
 }
@@ -48,7 +48,8 @@ TEST(CpuTiledTest, WorksForEveryContributingSet) {
     RunConfig cfg;
     cfg.mode = Mode::kCpuTiled;
     cfg.cpu_tile = 8;
-    EXPECT_EQ(solve(p, cfg).table, ref.table) << deps.to_string();
+    EXPECT_EQ(solve(p, cfg).table.to_grid(), ref.table.to_grid())
+        << deps.to_string();
   }
 }
 
@@ -58,7 +59,8 @@ TEST(CpuTiledTest, VerticalAndMirroredGoThroughAdapters) {
   RunConfig cfg;
   cfg.mode = Mode::kCpuTiled;
   cfg.cpu_tile = 16;
-  EXPECT_EQ(solve(p, cfg).table, problems::column_min_reference(costs));
+  EXPECT_EQ(solve(p, cfg).table.to_grid(),
+            problems::column_min_reference(costs));
 }
 
 TEST(CpuTiledTest, SolvesKnightMove) {
@@ -70,7 +72,7 @@ TEST(CpuTiledTest, SolvesKnightMove) {
   RunConfig cfg;
   cfg.mode = Mode::kCpuTiled;
   const auto r = solve(cb, cfg);
-  EXPECT_EQ(r.table, ref.table);
+  EXPECT_EQ(r.table.to_grid(), ref.table.to_grid());
   EXPECT_EQ(r.stats.mode_used, Mode::kCpuTiled);
 }
 

@@ -58,7 +58,8 @@ TEST(DtwTest, WideBandEqualsUnbanded) {
   DtwProblem banded(a, b, /*band=*/200);  // wider than the table
   RunConfig cfg;
   cfg.mode = Mode::kCpuSerial;
-  EXPECT_EQ(solve(unbanded, cfg).table, solve(banded, cfg).table);
+  EXPECT_EQ(solve(unbanded, cfg).table.to_grid(),
+            solve(banded, cfg).table.to_grid());
 }
 
 TEST(DtwTest, BandConstrainsAndNeverImproves) {

@@ -347,7 +347,7 @@ TEST(BatchLifecycle, LadderCoversAllContributingSets) {
     rc.tile = 8;
     RunConfig serial;
     serial.mode = Mode::kCpuSerial;
-    expected.push_back(solve(p, serial).table);
+    expected.push_back(solve(p, serial).table.to_grid());
     auto f = engine.submit(p, rc);
     ASSERT_TRUE(f.has_value());
     futures.push_back(std::move(*f));
@@ -361,7 +361,7 @@ TEST(BatchLifecycle, LadderCoversAllContributingSets) {
   for (std::size_t k = 0; k < 15; ++k) {
     SolveResult<Problem> got;
     ASSERT_NO_THROW(got = futures[k].get()) << "deps bits " << k + 1;
-    EXPECT_EQ(got.table, expected[k]) << "deps bits " << k + 1;
+    EXPECT_EQ(got.table.to_grid(), expected[k]) << "deps bits " << k + 1;
     const auto outcome = rep.items[k].outcome;
     EXPECT_TRUE(outcome == chaos::RequestOutcome::kOk ||
                 outcome == chaos::RequestOutcome::kRetried ||
@@ -473,7 +473,7 @@ TEST(BatchLifecycle, StripWorkerFaultsRetryCleanly) {
   rc.mode = Mode::kCpuParallel;
   RunConfig serial;
   serial.mode = Mode::kCpuSerial;
-  const auto expected = solve(p, serial).table;
+  const auto expected = solve(p, serial).table.to_grid();
   auto f = engine.submit(p, rc);
   ASSERT_TRUE(f.has_value());
   const BatchReport rep = engine.wait();
@@ -484,7 +484,7 @@ TEST(BatchLifecycle, StripWorkerFaultsRetryCleanly) {
   EXPECT_GE(rep.items[0].retries, 1u);
   SolveResult<decltype(make_deps_problem(ContributingSet(1), 1, 1, 0))> got;
   ASSERT_NO_THROW(got = f->get());
-  EXPECT_EQ(got.table, expected);
+  EXPECT_EQ(got.table.to_grid(), expected);
 }
 
 /// Retry backoff is service time: a retried request's first op starts no
@@ -560,7 +560,7 @@ TEST(BatchLifecycle, LaneCohortFaultDegradesToSolo) {
   serial.mode = Mode::kCpuSerial;
   for (std::size_t k = 0; k < 6; ++k) {
     const auto p = make_deps_problem(ContributingSet(0b0110), 48, 48, k);
-    expected.push_back(solve(p, serial).table);
+    expected.push_back(solve(p, serial).table.to_grid());
     RunConfig rc;
     rc.mode = Mode::kCpuSerial;
     auto f = engine.submit(p, rc);
@@ -574,7 +574,7 @@ TEST(BatchLifecycle, LaneCohortFaultDegradesToSolo) {
   for (std::size_t k = 0; k < 6; ++k) {
     SolveResult<Problem> got;
     ASSERT_NO_THROW(got = futures[k].get()) << k;
-    EXPECT_EQ(got.table, expected[k]) << k;
+    EXPECT_EQ(got.table.to_grid(), expected[k]) << k;
     if (rep.items[k].degraded == "lane->solo") any_lane_degrade = true;
   }
   // Lane eligibility needs SIMD lanes; when the host ISA disables lane
@@ -588,7 +588,7 @@ TEST(BatchLifecycle, LaneCohortFaultDegradesToSolo) {
   // lane solo and attaches the remat callback, which every cell read
   // below goes through.
   BatchEngine frontier_engine(bc);
-  std::vector<std::future<FrontierSolveResult<Problem>>> frontier_futures;
+  std::vector<std::future<SolveResult<Problem>>> frontier_futures;
   for (std::size_t k = 0; k < 6; ++k) {
     RunConfig rc;
     rc.mode = Mode::kCpuSerial;
@@ -604,7 +604,7 @@ TEST(BatchLifecycle, LaneCohortFaultDegradesToSolo) {
   EXPECT_EQ(frontier_rep.failed_solves, 0u);
   bool any_frontier_degrade = false;
   for (std::size_t k = 0; k < 6; ++k) {
-    FrontierSolveResult<Problem> got;
+    SolveResult<Problem> got;
     ASSERT_NO_THROW(got = frontier_futures[k].get()) << k;
     for (std::size_t i = 0; i < 48; ++i)
       for (std::size_t j = 0; j < 48; ++j)

@@ -1,6 +1,6 @@
 // Front-major table addressing (tables/front_major.h) and the full-table
-// solves built on it: every diagonal-order solve() fills a front-major
-// table and unpacks it once into the row-major grid. Checks the padded
+// solves built on it: anti-diagonal and shell solve()s fill a front-major
+// table and return it as it is, read in place. Checks the padded
 // index geometry, the unpack against flat() for every layout, bit-identity
 // of solve() against the serial scan for the anti-diagonal and knight-move
 // patterns in every front-major mode, and that the transfer accounting of
@@ -96,7 +96,8 @@ void check_unpack(const Layout& L) {
   std::vector<std::int32_t> src(idx.size(), -1);
   for (std::size_t i = 0; i < L.rows(); ++i)
     for (std::size_t j = 0; j < L.cols(); ++j) src[idx.flat(i, j)] = code(i, j);
-  const Grid<std::int32_t> g = unpack_front_major(src.data(), idx);
+  Grid<std::int32_t> g(L.rows(), L.cols(), -7);
+  unpack_front_major(src.data(), idx, g, 0, L.cols());
   for (std::size_t i = 0; i < L.rows(); ++i)
     for (std::size_t j = 0; j < L.cols(); ++j)
       ASSERT_EQ(g.at(i, j), code(i, j)) << i << "," << j;
@@ -138,7 +139,7 @@ template <typename P, typename Eq>
 void check_modes(const P& p, Eq eq) {
   RunConfig ref_cfg;
   ref_cfg.mode = Mode::kCpuSerial;
-  const auto ref = solve(p, ref_cfg).table;
+  const auto ref = solve(p, ref_cfg).table.to_grid();
   for (Mode mode : {Mode::kCpuParallel, Mode::kGpu, Mode::kHeterogeneous}) {
     for (bool batch : {true, false}) {
       for (cpu::ThreadPool* pool :
@@ -149,7 +150,7 @@ void check_modes(const P& p, Eq eq) {
         cfg.batch_kernels = batch;
         cfg.pool = pool;
         const auto r = solve(p, cfg);
-        EXPECT_TRUE(eq(r.table, ref))
+        EXPECT_TRUE(eq(r.table.to_grid(), ref))
             << p.rows() << "x" << p.cols() << " " << to_string(mode)
             << " batch=" << batch;
       }
@@ -195,31 +196,30 @@ TEST(FrontMajorSolveTest, WideFrontsOnTheStealingExecutorMatchSerial) {
                                        problems::random_sequence(4400, 8));
   RunConfig ref_cfg;
   ref_cfg.mode = Mode::kCpuSerial;
-  const auto ref = solve(p, ref_cfg).table;
+  const auto ref = solve(p, ref_cfg).table.to_grid();
   for (Mode mode : {Mode::kGpu, Mode::kHeterogeneous}) {
     RunConfig cfg;
     cfg.mode = mode;
     cfg.pool = &cpu::shared_stealing_pool();
-    EXPECT_TRUE(solve(p, cfg).table == ref) << to_string(mode);
+    EXPECT_TRUE(solve(p, cfg).table.to_grid() == ref) << to_string(mode);
   }
 }
 
-TEST(FrontMajorSolveTest, DiagonalCpuWavefrontsReportTheStagingTable) {
+TEST(FrontMajorSolveTest, DiagonalCpuWavefrontsReportOneTable) {
   const problems::LevenshteinProblem p(problems::random_sequence(99, 1),
                                        problems::random_sequence(149, 2));
   RunConfig cfg;
   cfg.mode = Mode::kCpuParallel;
   const auto r = solve(p, cfg);
-  EXPECT_EQ(r.stats.peak_table_bytes, 2 * 100 * 150 * sizeof(int));
+  EXPECT_EQ(r.stats.peak_table_bytes, 100 * 150 * sizeof(int));
+  EXPECT_EQ(r.table.resident_bytes(), r.stats.peak_table_bytes);
 }
 
 // Full-tier table high-water per mode x pattern, as reported by the store:
-// the result grid (1x), plus the front-major table it is unpacked from
-// (2x). Row fronts on the host — CPU wavefronts, the heterogeneous row
-// split and the host tiled layer — fill the grid in place; Inverted-L
-// shells, like every other non-row front, stage front-major. The tiled
-// layer runs over row-major storage whatever the pattern: the GPU's is a
-// device table (2x), the heterogeneous tile split's the grid itself (1x).
+// one table (1x) everywhere. Row fronts fill a row-major grid in place;
+// every other front order — Inverted-L shells included — fills a
+// front-major block that the result table keeps and reads in place. The
+// tiled layer runs over row-major storage whatever the pattern.
 TEST(FrontMajorSolveTest, PeakTableBytesPerModeAndPattern) {
   constexpr std::size_t n = 40, m = 70;
   struct Row {
@@ -228,10 +228,10 @@ TEST(FrontMajorSolveTest, PeakTableBytesPerModeAndPattern) {
     int serial, cpu, tiled, gpu, hetero;  // multiples of the grid
   };
   const Row rows[] = {
-      {0b0101, Pattern::kAntiDiagonal, 1, 2, 1, 2, 2},  // W + N
-      {0b0100, Pattern::kHorizontal, 1, 1, 1, 2, 1},    // N
-      {0b1001, Pattern::kKnightMove, 1, 2, 1, 2, 2},    // W + NE
-      {0b0010, Pattern::kInvertedL, 1, 2, 1, 2, 2},     // NW
+      {0b0101, Pattern::kAntiDiagonal, 1, 1, 1, 1, 1},  // W + N
+      {0b0100, Pattern::kHorizontal, 1, 1, 1, 1, 1},    // N
+      {0b1001, Pattern::kKnightMove, 1, 1, 1, 1, 1},    // W + NE
+      {0b0010, Pattern::kInvertedL, 1, 1, 1, 1, 1},     // NW
   };
   for (const Row& row : rows) {
     const ContributingSet deps(static_cast<std::uint8_t>(row.mask));
@@ -252,7 +252,7 @@ TEST(FrontMajorSolveTest, PeakTableBytesPerModeAndPattern) {
                 static_cast<std::size_t>(times) * n * m * sizeof(int))
           << to_string(row.pattern) << " " << to_string(mode);
     }
-    const std::pair<Mode, int> tiled[] = {{Mode::kGpu, 2},
+    const std::pair<Mode, int> tiled[] = {{Mode::kGpu, 1},
                                           {Mode::kHeterogeneous, 1}};
     for (const auto& [mode, times] : tiled) {
       RunConfig cfg;

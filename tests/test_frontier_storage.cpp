@@ -494,7 +494,7 @@ TEST(FrontierBatch, LaneCohortFrontierIdentity) {
   rc.checkpoint_interval = 5;
 
   using P = decltype(make_lane_case(0));
-  std::vector<std::future<FrontierSolveResult<P>>> futures;
+  std::vector<std::future<SolveResult<P>>> futures;
   std::vector<P> probs;
   for (std::uint64_t s = 0; s < 6; ++s) probs.push_back(make_lane_case(s));
   for (const auto& p : probs) {
@@ -537,7 +537,7 @@ TEST(FrontierBatch, LaneJobsReportSoloSerialStats) {
   frontier.storage = Storage::kFrontier;
   frontier.checkpoint_interval = 6;
   std::vector<std::future<SolveResult<P>>> full_futs;
-  std::vector<std::future<FrontierSolveResult<P>>> frontier_futs;
+  std::vector<std::future<SolveResult<P>>> frontier_futs;
   for (const P& p : probs) {
     auto f = engine.submit(p, full);
     ASSERT_TRUE(f.has_value());
@@ -653,7 +653,7 @@ TEST(FrontierBatch, MemoryBudgetAdmission) {
   bc.worker_threads = 2;
   bc.memory_budget_bytes = one + one / 2;  // fits one, not two
   BatchEngine engine(bc);
-  std::vector<std::future<FrontierSolveResult<decltype(make_lane_case(0))>>>
+  std::vector<std::future<SolveResult<decltype(make_lane_case(0))>>>
       futures;
   for (int k = 0; k < 5; ++k) {
     auto f = engine.submit_frontier(p, rc);
@@ -673,7 +673,7 @@ TEST(FrontierBatch, MemoryBudgetAdmission) {
   tiny.worker_threads = 2;
   tiny.memory_budget_bytes = 1;
   BatchEngine starved(tiny);
-  std::vector<std::future<FrontierSolveResult<decltype(make_lane_case(0))>>>
+  std::vector<std::future<SolveResult<decltype(make_lane_case(0))>>>
       fs;
   for (int k = 0; k < 3; ++k) {
     auto f = starved.submit_frontier(p, rc);

@@ -93,7 +93,7 @@ TEST(HeteroHorizontalTest, CheckerboardEndToEnd) {
   RunConfig cfg;
   cfg.mode = Mode::kHeterogeneous;
   const auto r = solve(p, cfg);
-  EXPECT_EQ(r.table, problems::checkerboard_reference(costs));
+  EXPECT_EQ(r.table.to_grid(), problems::checkerboard_reference(costs));
   EXPECT_EQ(r.stats.pattern, Pattern::kHorizontal);
   EXPECT_EQ(r.stats.transfer, TransferNeed::kTwoWay);
 }
@@ -106,7 +106,7 @@ TEST(HeteroHorizontalTest, ExtremeSharesStayCorrect) {
     RunConfig cfg;
     cfg.mode = Mode::kHeterogeneous;
     cfg.hetero = {0, share};
-    EXPECT_EQ(solve(p, cfg).table, ref) << "share " << share;
+    EXPECT_EQ(solve(p, cfg).table.to_grid(), ref) << "share " << share;
   }
 }
 

@@ -17,7 +17,7 @@ Grid<problems::FsCell> serial_solution(
     const problems::FloydSteinbergProblem& p) {
   RunConfig cfg;
   cfg.mode = Mode::kCpuSerial;
-  return solve(p, cfg).table;
+  return solve(p, cfg).table.to_grid();
 }
 
 bool tables_equal(const Grid<problems::FsCell>& a,
@@ -40,7 +40,7 @@ TEST(HeteroKnightMoveTest, MatchesSerialAcrossSplits) {
        {HeteroParams{-1, -1}, HeteroParams{0, 0}, HeteroParams{0, 32},
         HeteroParams{17, 13}, HeteroParams{50, 96}, HeteroParams{9999, 9999}}) {
     cfg.hetero = hp;
-    EXPECT_TRUE(tables_equal(solve(p, cfg).table, ref))
+    EXPECT_TRUE(tables_equal(solve(p, cfg).table.to_grid(), ref))
         << hp.t_switch << "/" << hp.t_share;
   }
 }
@@ -93,7 +93,8 @@ TEST(HeteroKnightMoveTest, TinyAndSkinnyImages) {
     const auto ref = serial_solution(p);
     RunConfig cfg;
     cfg.mode = Mode::kHeterogeneous;
-    EXPECT_TRUE(tables_equal(solve(p, cfg).table, ref)) << n << "x" << m;
+    EXPECT_TRUE(tables_equal(solve(p, cfg).table.to_grid(), ref))
+        << n << "x" << m;
   }
 }
 

@@ -58,7 +58,7 @@ BatchReport expect_lane_identical(const std::vector<P>& probs,
   BatchEngine engine(lane_config(lane_pack, workers));
   BatchEngine frontier_engine(lane_config(lane_pack, workers));
   std::vector<std::future<SolveResult<P>>> futs;
-  std::vector<std::future<FrontierSolveResult<P>>> frontier_futs;
+  std::vector<std::future<SolveResult<P>>> frontier_futs;
   for (const P& p : probs) {
     RunConfig rc;
     rc.mode = Mode::kCpuSerial;
@@ -79,7 +79,7 @@ BatchReport expect_lane_identical(const std::vector<P>& probs,
     RunConfig rc;
     rc.mode = Mode::kCpuSerial;
     const auto want = solve(probs[k], rc);
-    EXPECT_EQ(futs[k].get().table, want.table)
+    EXPECT_EQ(futs[k].get().table.to_grid(), want.table.to_grid())
         << "lane " << k << " of " << probs.size() << " diverged";
     const auto got = frontier_futs[k].get();
     bool same = true;

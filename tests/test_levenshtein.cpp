@@ -63,7 +63,7 @@ TEST(LevenshteinTest, FullTableMatchesSerialScan) {
   RunConfig hetero;
   hetero.mode = Mode::kHeterogeneous;
   hetero.hetero = {9, 17};
-  EXPECT_EQ(solve(p, hetero).table, ref.table);
+  EXPECT_EQ(solve(p, hetero).table.to_grid(), ref.table.to_grid());
 }
 
 }  // namespace

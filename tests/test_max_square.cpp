@@ -48,7 +48,8 @@ TEST(MaxSquareTest, AllModesAgree) {
                     Mode::kHeterogeneous}) {
     RunConfig cfg;
     cfg.mode = mode;
-    EXPECT_EQ(solve(p, cfg).table, ref.table) << to_string(mode);
+    EXPECT_EQ(solve(p, cfg).table.to_grid(), ref.table.to_grid())
+        << to_string(mode);
   }
 }
 

@@ -47,7 +47,7 @@ TEST(MultiAcceleratorTest, Case1MatchesReference) {
   sim::Platform platform(cpu::CpuSpec::i7_980(), two_gpus());
   SolveStats stats;
   const auto table = solve_multi_horizontal(p, platform, MultiSplit{}, &stats);
-  EXPECT_EQ(table, ref.table);
+  EXPECT_EQ(table.to_grid(), ref.table.to_grid());
   EXPECT_GT(stats.gpu_busy_seconds, 0.0);
   // Every unit writes one host-visible table, the result grid itself.
   EXPECT_EQ(stats.peak_table_bytes,
@@ -60,7 +60,7 @@ TEST(MultiAcceleratorTest, Case2MatchesReference) {
   sim::Platform platform(cpu::CpuSpec::i7_980(), two_gpus());
   SolveStats stats;
   const auto table = solve_multi_horizontal(p, platform, MultiSplit{}, &stats);
-  EXPECT_EQ(table, problems::checkerboard_reference(costs));
+  EXPECT_EQ(table.to_grid(), problems::checkerboard_reference(costs));
   EXPECT_EQ(stats.transfer, TransferNeed::kTwoWay);
 }
 
@@ -77,7 +77,8 @@ TEST(MultiAcceleratorTest, ExplicitSplitsStayCorrect) {
     sim::Platform platform(cpu::CpuSpec::i7_980(), two_gpus());
     const auto table =
         solve_multi_horizontal(p, platform, MultiSplit{widths}, nullptr);
-    EXPECT_EQ(table, ref) << widths[0] << "/" << widths[1] << "/" << widths[2];
+    EXPECT_EQ(table.to_grid(), ref)
+        << widths[0] << "/" << widths[1] << "/" << widths[2];
   }
 }
 
@@ -91,7 +92,7 @@ TEST(MultiAcceleratorTest, ThreeDevices) {
       {sim::GpuSpec::tesla_k20(), sim::GpuSpec::gt650m(),
        sim::GpuSpec::xeon_phi_5110p()});
   const auto table = solve_multi_horizontal(p, platform, MultiSplit{}, nullptr);
-  EXPECT_EQ(table, ref.table);
+  EXPECT_EQ(table.to_grid(), ref.table.to_grid());
 }
 
 TEST(MultiAcceleratorTest, SecondDeviceHelpsOneWayPatternsAtScale) {
@@ -154,6 +155,17 @@ TEST(MultiAcceleratorTest, RejectsNonHorizontalPattern) {
   sim::Platform platform(cpu::CpuSpec::i7_980(), two_gpus());
   EXPECT_THROW(solve_multi_horizontal(probe, platform, MultiSplit{}, nullptr),
                CheckError);
+  // Vertical ({W, NW}): canonically Horizontal, but its rows are W chains
+  // that the row strips would cross unpriced.
+  const auto vertical = problems::make_function_problem<std::uint64_t>(
+      8, 8, ContributingSet{Dep::kW, Dep::kNW}, 0ULL,
+      [](std::size_t, std::size_t, const Neighbors<std::uint64_t>& nb) {
+        return nb.w + nb.nw;
+      });
+  ASSERT_EQ(classify(vertical.deps()), Pattern::kVertical);
+  EXPECT_THROW(
+      solve_multi_horizontal(vertical, platform, MultiSplit{}, nullptr),
+      CheckError);
 }
 
 TEST(MultiAcceleratorTest, EmptyDeviceListRejected) {

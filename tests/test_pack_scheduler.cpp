@@ -273,7 +273,7 @@ EngineRun run_mix(BatchConfig bc, std::size_t requests, int pack_override,
   }
   EngineRun out;
   out.report = engine.wait();
-  for (auto& f : futures) out.tables.push_back(f.get().table);
+  for (auto& f : futures) out.tables.push_back(f.get().table.to_grid());
   return out;
 }
 
@@ -326,7 +326,7 @@ TEST(PackScheduler, PackedResultsBitIdenticalToSerial) {
     RunConfig serial;
     serial.mode = Mode::kCpuSerial;
     const auto expected = solve(make_problem(64 + 8 * (k % 4), 7 + k),
-                                serial).table;
+                                serial).table.to_grid();
     EXPECT_EQ(run.tables[k], expected) << "request " << k;
   }
 }
@@ -419,8 +419,8 @@ TEST(TunerCache, BatchTuneAutoSharesSweeps) {
   for (std::size_t k = 0; k < kRequests; ++k) {
     RunConfig serial;
     serial.mode = Mode::kCpuSerial;
-    EXPECT_EQ(futures[k].get().table,
-              solve(make_problem(96, 11 + k), serial).table);
+    EXPECT_EQ(futures[k].get().table.to_grid(),
+              solve(make_problem(96, 11 + k), serial).table.to_grid());
   }
 }
 

@@ -32,7 +32,7 @@ TEST(PhiPlatformTest, ResultsAreIdenticalAcrossAccelerators) {
   k20.platform = sim::PlatformSpec::hetero_high();
   RunConfig phi = k20;
   phi.platform = sim::PlatformSpec::hetero_phi();
-  EXPECT_EQ(solve(p, k20).table, solve(p, phi).table);
+  EXPECT_EQ(solve(p, k20).table.to_grid(), solve(p, phi).table.to_grid());
 }
 
 TEST(PhiPlatformTest, PhiSitsBetweenTheTwoGpusAtScale) {

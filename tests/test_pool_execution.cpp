@@ -30,7 +30,8 @@ TEST_F(PoolExecutionTest, LevenshteinAllModes) {
     RunConfig cfg;
     cfg.mode = mode;
     cfg.pool = &pool_;
-    EXPECT_EQ(solve(p, cfg).table, ref.table) << to_string(mode);
+    EXPECT_EQ(solve(p, cfg).table.to_grid(), ref.table.to_grid())
+        << to_string(mode);
   }
 }
 
@@ -57,7 +58,8 @@ TEST_F(PoolExecutionTest, TwoWayHorizontalWithPool) {
   RunConfig cfg;
   cfg.mode = Mode::kHeterogeneous;
   cfg.pool = &pool_;
-  EXPECT_EQ(solve(p, cfg).table, problems::checkerboard_reference(costs));
+  EXPECT_EQ(solve(p, cfg).table.to_grid(),
+            problems::checkerboard_reference(costs));
 }
 
 TEST_F(PoolExecutionTest, SimulatedTimeIndependentOfPool) {
@@ -83,7 +85,7 @@ TEST_F(PoolExecutionTest, PoolReusedAcrossManySolves) {
   serial.mode = Mode::kCpuSerial;
   const auto ref = solve(p, serial);
   for (int round = 0; round < 20; ++round)
-    ASSERT_EQ(solve(p, cfg).table, ref.table) << round;
+    ASSERT_EQ(solve(p, cfg).table.to_grid(), ref.table.to_grid()) << round;
 }
 
 TEST_F(PoolExecutionTest, AllContributingSetsWithPool) {
@@ -106,7 +108,8 @@ TEST_F(PoolExecutionTest, AllContributingSetsWithPool) {
     RunConfig cfg;
     cfg.mode = Mode::kHeterogeneous;
     cfg.pool = &pool_;
-    EXPECT_EQ(solve(p, cfg).table, ref.table) << deps.to_string();
+    EXPECT_EQ(solve(p, cfg).table.to_grid(), ref.table.to_grid())
+        << deps.to_string();
   }
 }
 

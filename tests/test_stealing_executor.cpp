@@ -342,11 +342,11 @@ TEST(StealingDifferential, BitIdenticalAcrossAllContributingSets) {
           make_deps_problem(ContributingSet(bits), rows, cols, bits);
       RunConfig serial;
       serial.mode = Mode::kCpuSerial;
-      const auto expected = solve(p, serial).table;
+      const auto expected = solve(p, serial).table.to_grid();
       RunConfig stealing;
       stealing.mode = Mode::kCpuParallel;
       stealing.pool = &cpu::shared_stealing_pool();
-      EXPECT_EQ(solve(p, stealing).table, expected)
+      EXPECT_EQ(solve(p, stealing).table.to_grid(), expected)
           << "deps bits " << int(bits) << " shape " << rows << "x" << cols;
     }
   }
@@ -359,12 +359,12 @@ TEST(StealingDifferential, HeterogeneousModeBitIdentical) {
     const auto p = make_deps_problem(ContributingSet(bits), 96, 96, bits);
     RunConfig serial;
     serial.mode = Mode::kCpuSerial;
-    const auto expected = solve(p, serial).table;
+    const auto expected = solve(p, serial).table.to_grid();
     RunConfig stealing;
     stealing.mode = Mode::kHeterogeneous;
     stealing.tile = 8;
     stealing.pool = &cpu::shared_stealing_pool();
-    EXPECT_EQ(solve(p, stealing).table, expected) << "deps bits "
+    EXPECT_EQ(solve(p, stealing).table.to_grid(), expected) << "deps bits "
                                                   << int(bits);
   }
 }
@@ -408,7 +408,7 @@ TEST(StealingBatch, DifferentialAcrossAllContributingSets) {
     const auto p = make_deps_problem(ContributingSet(bits), rows, cols, bits);
     RunConfig serial;
     serial.mode = Mode::kCpuSerial;
-    expected.push_back(solve(p, serial).table);
+    expected.push_back(solve(p, serial).table.to_grid());
     RunConfig rc;
     rc.mode = Mode::kCpuParallel;
     auto f = engine.submit(p, rc);
@@ -421,7 +421,7 @@ TEST(StealingBatch, DifferentialAcrossAllContributingSets) {
   for (std::size_t k = 0; k < 15; ++k) {
     SolveResult<Problem> got;
     ASSERT_NO_THROW(got = futures[k].get()) << "deps bits " << k + 1;
-    EXPECT_EQ(got.table, expected[k]) << "deps bits " << k + 1;
+    EXPECT_EQ(got.table.to_grid(), expected[k]) << "deps bits " << k + 1;
   }
 }
 

@@ -52,10 +52,11 @@ TEST_P(AllSetsTest, AllModesMatchSerialReference) {
   const auto ref = solve(probe, cfg);
 
   cfg.mode = Mode::kCpuParallel;
-  EXPECT_EQ(solve(probe, cfg).table, ref.table) << "cpu-parallel";
+  EXPECT_EQ(solve(probe, cfg).table.to_grid(), ref.table.to_grid())
+      << "cpu-parallel";
 
   cfg.mode = Mode::kGpu;
-  EXPECT_EQ(solve(probe, cfg).table, ref.table) << "gpu";
+  EXPECT_EQ(solve(probe, cfg).table.to_grid(), ref.table.to_grid()) << "gpu";
 
   const HeteroParams sweeps[] = {
       {-1, -1},       // model defaults
@@ -67,13 +68,13 @@ TEST_P(AllSetsTest, AllModesMatchSerialReference) {
   for (const HeteroParams& hp : sweeps) {
     cfg.mode = Mode::kHeterogeneous;
     cfg.hetero = hp;
-    EXPECT_EQ(solve(probe, cfg).table, ref.table)
+    EXPECT_EQ(solve(probe, cfg).table.to_grid(), ref.table.to_grid())
         << "hetero t_switch=" << hp.t_switch << " t_share=" << hp.t_share;
   }
 
   cfg.mode = Mode::kAuto;
   cfg.hetero = HeteroParams{};
-  EXPECT_EQ(solve(probe, cfg).table, ref.table) << "auto";
+  EXPECT_EQ(solve(probe, cfg).table.to_grid(), ref.table.to_grid()) << "auto";
 }
 
 // Fused graph submission is a pure timing-model change: for every
@@ -98,13 +99,13 @@ TEST_P(AllSetsTest, FusedMatchesUnfusedAndSerial) {
 
     cfg.mode = Mode::kGpu;
     cfg.hetero = HeteroParams{};
-    EXPECT_EQ(solve(probe, cfg).table, ref.table)
+    EXPECT_EQ(solve(probe, cfg).table.to_grid(), ref.table.to_grid())
         << "gpu fused=" << fused;
 
     cfg.mode = Mode::kHeterogeneous;
     for (const HeteroParams& hp : sweeps) {
       cfg.hetero = hp;
-      EXPECT_EQ(solve(probe, cfg).table, ref.table)
+      EXPECT_EQ(solve(probe, cfg).table.to_grid(), ref.table.to_grid())
           << "hetero fused=" << fused << " t_switch=" << hp.t_switch
           << " t_share=" << hp.t_share;
     }
@@ -143,7 +144,7 @@ TEST(AllSetsLargeTest, AntiDiagonalLarge) {
   const auto ref = solve(probe, cfg);
   cfg.mode = Mode::kHeterogeneous;
   cfg.hetero = {17, 23};
-  EXPECT_EQ(solve(probe, cfg).table, ref.table);
+  EXPECT_EQ(solve(probe, cfg).table.to_grid(), ref.table.to_grid());
 }
 
 TEST(AllSetsLargeTest, KnightMoveLarge) {
@@ -154,7 +155,7 @@ TEST(AllSetsLargeTest, KnightMoveLarge) {
   const auto ref = solve(probe, cfg);
   cfg.mode = Mode::kHeterogeneous;
   cfg.hetero = {31, 19};
-  EXPECT_EQ(solve(probe, cfg).table, ref.table);
+  EXPECT_EQ(solve(probe, cfg).table.to_grid(), ref.table.to_grid());
 }
 
 TEST(AllSetsLargeTest, HorizontalCase2Large) {
@@ -165,7 +166,7 @@ TEST(AllSetsLargeTest, HorizontalCase2Large) {
   const auto ref = solve(probe, cfg);
   cfg.mode = Mode::kHeterogeneous;
   cfg.hetero = {0, 37};
-  EXPECT_EQ(solve(probe, cfg).table, ref.table);
+  EXPECT_EQ(solve(probe, cfg).table.to_grid(), ref.table.to_grid());
 }
 
 TEST(AllSetsLargeTest, InvertedLLarge) {
@@ -176,7 +177,7 @@ TEST(AllSetsLargeTest, InvertedLLarge) {
   const auto ref = solve(probe, cfg);
   cfg.mode = Mode::kHeterogeneous;
   cfg.hetero = {11, 29};
-  EXPECT_EQ(solve(probe, cfg).table, ref.table);
+  EXPECT_EQ(solve(probe, cfg).table.to_grid(), ref.table.to_grid());
 }
 
 }  // namespace

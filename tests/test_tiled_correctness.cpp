@@ -64,7 +64,7 @@ void expect_tiled_matches_serial(const P& p, const char* what) {
       cfg.tile = 8;
       cfg.fused_launches = fused;
       const auto r = solve(p, cfg);
-      expect_tables_equal(r.table, ref.table,
+      expect_tables_equal(r.table.to_grid(), ref.table.to_grid(),
                           std::string(what) + " mode=" + to_string(mode) +
                               " fused=" + (fused ? "1" : "0"));
       EXPECT_EQ(r.stats.mode_used, mode);
@@ -94,7 +94,7 @@ TEST(TiledCorrectnessTest, TileSizeSweep) {
       cfg.mode = mode;
       cfg.tile = tile;
       const auto r = solve(p, cfg);
-      EXPECT_EQ(r.table, ref.table)
+      EXPECT_EQ(r.table.to_grid(), ref.table.to_grid())
           << "tile=" << tile << " mode=" << to_string(mode);
     }
   }
@@ -129,7 +129,7 @@ TEST(TiledCorrectnessTest, ExplicitHeteroParams) {
       cfg.hetero.t_switch = t_switch;
       cfg.hetero.t_share = t_share;
       const auto r = solve(p, cfg);
-      EXPECT_EQ(r.table, ref.table)
+      EXPECT_EQ(r.table.to_grid(), ref.table.to_grid())
           << "t_switch=" << t_switch << " t_share=" << t_share;
     }
   }
@@ -144,7 +144,8 @@ TEST(TiledCorrectnessTest, AutoTileMatchesSerial) {
     RunConfig cfg;
     cfg.mode = mode;
     cfg.tile = -1;  // model-based default
-    EXPECT_EQ(solve(p, cfg).table, ref.table) << to_string(mode);
+    EXPECT_EQ(solve(p, cfg).table.to_grid(), ref.table.to_grid())
+        << to_string(mode);
   }
 }
 

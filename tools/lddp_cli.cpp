@@ -49,7 +49,8 @@ constexpr const char* kUsage = R"(usage: lddp_cli [flags]
   --seed N         workload seed (default 1)
   --band N         Sakoe-Chiba band for dtw (default 0 = off)
   --devices N      CPU + N copies of the platform's accelerator via the
-                   multi-device strategy (horizontal problems only)
+                   multi-device strategy (Horizontal-pattern problems
+                   only; Vertical ones are refused)
   --trace FILE     write the simulated schedule as chrome://tracing JSON
   --batch N        submit the request N times through the batch engine and
                    report merged-schedule throughput (default 1 = off)
@@ -146,8 +147,8 @@ Storage parse_storage(const std::string& s) {
   throw CheckError("unknown --storage '" + s + "'");
 }
 
-/// --mem-stats footprint line for one frontier-capable table. Printed
-/// after the answer is computed so remat counters include its reads.
+/// --mem-stats footprint line for one result table. Printed after the
+/// answer is computed so remat counters include its reads.
 template <typename V>
 void print_table_mem(const FrontierTable<V>& t, const SolveStats& s) {
   std::printf("memory: peak table %.2f MiB (resident %.2f MiB)",
@@ -161,14 +162,6 @@ void print_table_mem(const FrontierTable<V>& t, const SolveStats& s) {
                 rs.rows, rs.cells);
   }
   std::printf("\n");
-}
-
-/// Full-table fallback: the solve already recorded the host grid (plus
-/// any wavefront-contiguous device copy) high-water in stats.
-template <typename T>
-void print_table_mem(const T&, const SolveStats& s) {
-  std::printf("memory: peak table %.2f MiB (full storage)\n",
-              static_cast<double>(s.peak_table_bytes) / (1 << 20));
 }
 
 /// One --batch-mix entry: per-request mode plus optional tile override.
@@ -349,8 +342,7 @@ Report run(const P& problem, RunConfig cfg, bool tune_first,
   }
   if (g_devices > 1) {
     LDDP_CHECK_MSG(!g_use_frontier, "--storage and --devices are exclusive");
-    LDDP_CHECK_MSG(canonical(classify(problem.deps())) ==
-                       Pattern::kHorizontal,
+    LDDP_CHECK_MSG(classify(problem.deps()) == Pattern::kHorizontal,
                    "--devices needs a horizontal-pattern problem");
     sim::Platform platform(
         cfg.platform.cpu,
@@ -360,6 +352,9 @@ Report run(const P& problem, RunConfig cfg, bool tune_first,
     const auto table =
         solve_multi_horizontal(problem, platform, MultiSplit{}, &r.stats);
     r.answer = answer(table);
+    if (!cfg.trace_path.empty())
+      platform.timeline().export_chrome_trace(cfg.trace_path);
+    if (g_mem_stats) print_table_mem(table, r.stats);
     return r;
   }
   if (tune_first) {
@@ -370,14 +365,8 @@ Report run(const P& problem, RunConfig cfg, bool tune_first,
     cfg.hetero = t.best;
   }
   Report r;
-  if (g_use_frontier) {
-    auto result = solve_frontier(problem, cfg);
-    r.stats = result.stats;
-    r.answer = answer(result.table);
-    if (g_mem_stats) print_table_mem(result.table, result.stats);
-    return r;
-  }
-  auto result = solve(problem, cfg);
+  const auto result =
+      g_use_frontier ? solve_frontier(problem, cfg) : solve(problem, cfg);
   r.stats = result.stats;
   r.answer = answer(result.table);
   if (g_mem_stats) print_table_mem(result.table, r.stats);
@@ -473,9 +462,8 @@ int main(int argc, char** argv) try {
     if (!chaos_spec.empty())
       g_batch_cfg.chaos = chaos::ChaosSpec::parse(chaos_spec).plan();
   }
-  // Storage tier: any --storage value routes through the frontier-capable
-  // facade (full is the classic table behind it, so --mem-stats works
-  // uniformly); omitted keeps the untouched full-table path.
+  // Storage tier: any --storage value routes through solve_frontier() (or
+  // submit_frontier()), which runs solve() for full; omitted calls solve().
   {
     const std::string st = flags.get("storage", "");
     if (!st.empty()) {
